@@ -1,6 +1,6 @@
 """Periodicity-aware workload forecasting for cluster traces."""
 
-from .loss import LossConfig, LossValue
+from .loss import LossConfig
 from .model import Ablation, Forecast, SampleWindow, WindowConfig, WindowSplit, make_windows
 from .periodicity import (
     PeriodicityConfig,
@@ -27,7 +27,7 @@ from .training import EvalReport, TrainConfig, TrainLog, evaluate, run_ablation_
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ablation", "CsvSchema", "EvalReport", "Forecast", "LossConfig", "LossValue",
+    "Ablation", "CsvSchema", "EvalReport", "Forecast", "LossConfig",
     "PeriodKnowledge", "PeriodicityConfig", "PeriodicityReport", "RawTrace",
     "SCHEMAS", "SampleWindow", "SyntheticSpec", "TrainConfig", "TrainLog",
     "WindowConfig", "WindowSplit", "WorkloadSeries", "acf", "build_knowledge",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .neural import ParamStore, Tensor
+from .neural import ParamStore
 
 MAGIC = b"PCST"
 VERSION = 1
@@ -81,10 +81,11 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, str]:
         pos += name_len
         rows, cols = struct.unpack_from("<II", body, pos)
         pos += 8
-        size = rows * cols * 8
-        data = np.frombuffer(body, dtype="<f8", count=rows * cols, offset=pos).reshape(rows, cols)
-        pos += size
-        store._slots[name] = Tensor(data.copy())
+        if name in store:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+        store.add(name, rows, cols).data[...] = np.frombuffer(
+            body, dtype="<f8", count=rows * cols, offset=pos).reshape(rows, cols)
+        pos += rows * cols * 8
     if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes")
     return store, meta, digest.hex()

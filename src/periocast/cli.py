@@ -37,7 +37,7 @@ from .periodicity import (
     fit_threshold_gmm_sweep,
 )
 from .traceio import SyntheticSpec, WorkloadSeries, generate, load_csv, normalize, save_csv, SCHEMAS, RawTrace
-from .training import TrainConfig, evaluate, run_ablation_suite, train
+from .training import TrainConfig, _predict_all, evaluate, run_ablation_suite, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,19 +263,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"model.m+model.j: {exc}") from exc
     windows = _pick_split(split_set, args.split)
 
-    from .model import forward_batch
-    from .neural import Tape
-    preds, yhats, weights = [], [], []
-    for lo in range(0, len(windows), 256):
-        chunk = windows[lo: lo + 256]
-        bf = forward_batch(chunk, store, wcfg, ablation, Tape(recording=False))
-        preds.append(bf.y.data)
-        yhats.append(bf.y_hat)
-        if bf.fusion_weights is not None:
-            weights.append(bf.fusion_weights)
-    pred = np.concatenate(preds)
-    yhat = np.concatenate(yhats)
-    wts = np.concatenate(weights) if weights else None
+    pred, _, _, wts, yhat = _predict_all(windows, store, wcfg, ablation)
 
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

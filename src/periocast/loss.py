@@ -10,8 +10,9 @@ max_t e_t^2, implemented directly as the "limit" mode whose gradient is
 2 * e at the worst step only (ties resolved to the smallest index).
 Plain mean squared error is kept as the "mse" mode for ablations.
 
-Per-step weights alpha_t (the softmax of e_t^2 / gamma) are reported so the
-caller can see where the loss is concentrating.
+In every mode the gradient is alpha_t * 2 * e_t, with per-step weights
+alpha_t: the softmax of e_t^2 / gamma, one-hot at the worst step, or
+uniform.
 """
 
 from __future__ import annotations
@@ -51,57 +52,10 @@ class LossConfig:
         return f"gamma:{self.gamma!r}" if self.mode == "gamma" else self.mode
 
 
-@dataclass(frozen=True)
-class LossValue:
-    value: float
-    alpha: np.ndarray  # per-step weights, nonnegative, sum to 1
-    argmax_t: int      # index of the largest squared error (first on ties)
-
-
-def _check(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    if pred.shape != truth.shape:
-        raise BadLength(f"pred {pred.shape} vs truth {truth.shape}")
-    if pred.shape[-1] < 2:
-        raise BadLength("sequence loss needs length >= 2")
-    e = pred - truth
-    if not np.all(np.isfinite(e)):
-        raise NonFinite("non-finite prediction or truth")
-    return e
-
-
-def loss(pred, truth, cfg: LossConfig) -> LossValue:
-    e = _check(np.asarray(pred, dtype=np.float64).ravel(),
-               np.asarray(truth, dtype=np.float64).ravel())
-    sq = e * e
-    t = int(np.argmax(sq))
-    if cfg.mode == "mse":
-        alpha = np.full(len(sq), 1.0 / len(sq))
-        return LossValue(float(sq.mean()), alpha, t)
-    if cfg.mode == "limit":
-        alpha = np.zeros(len(sq))
-        alpha[t] = 1.0
-        return LossValue(float(sq[t]), alpha, t)
-    m = sq[t]
-    # Max is subtracted before exponentiating; one term is exactly exp(0),
-    # so the log argument is >= 1 and the value is >= m exactly.
-    ex = np.exp((sq - m) / cfg.gamma)
-    alpha = ex / ex.sum()
-    return LossValue(float(m + cfg.gamma * np.log(ex.sum())), alpha, t)
-
-
-def backward(pred, truth, cfg: LossConfig) -> np.ndarray:
-    """d loss / d pred; equals alpha * 2e in every mode."""
-    p = np.asarray(pred, dtype=np.float64).ravel()
-    t = np.asarray(truth, dtype=np.float64).ravel()
-    e = _check(p, t)
-    return loss(p, t, cfg).alpha * 2.0 * e
-
-
 def batch_loss(pred: np.ndarray, truth: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean per-window loss over a (batch, J) block.
 
     Returns (mean value, gradient wrt pred of the mean, per-window values).
-    Vectorised equivalent of applying `loss`/`backward` row by row.
     """
     e = pred - truth
     if not np.all(np.isfinite(e)):

@@ -2,14 +2,13 @@
 
 Everything the forecaster needs is built from a handful of primitives, each
 with an exact hand-written backward pass: affine maps, a gated recurrent
-cell, scaled dot-product attention (plus two batched attention variants used
-by the model), row downsampling and a one-unit-bottleneck autoencoder.
+cell, two batched attention blocks, column gathers and a
+one-unit-bottleneck autoencoder.
 
 Ops execute eagerly and append a closure to a `Tape`; `Tape.backward()` runs
 the closures in reverse order, accumulating into each tensor's `grad`
 buffer.  A tape is single-use.  Rows are the batch/time axis, columns are
-features; data is row-major float64 unless a store is built with another
-dtype.
+features; data is row-major float64.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ class Tensor:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, dtype=np.float64):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
@@ -78,33 +77,53 @@ class Tape:
 
 
 class ParamStore:
-    """Named parameter slots with a flat index over every scalar.
+    """Named parameter slots laid out in one flat buffer.
 
-    Slot order is insertion order; the flat vector is the concatenation of
-    the row-major slots, which gives a stable bijection between flat index
-    and (name, row, col) for gradient checking and the optimizer.
+    `values` holds every parameter: the slots in insertion order, each one
+    row-major.  `grads` has the same layout.  Each slot's `Tensor.data` and
+    `Tensor.grad` are views into them, so the optimizer updates `values` in
+    place and a flat index maps to one (name, row, col) for gradient checks.
     """
 
-    def __init__(self, dtype=np.float64):
-        self.dtype = dtype
+    def __init__(self):
         self._slots: dict[str, Tensor] = {}
+        self._buf = np.empty((2, 0))  # row 0: values, row 1: grads; then unused room
+        self.values = self._buf[0]
+        self.grads = self._buf[1]
 
     def add(self, name: str, rows: int, cols: int, rng: Prng | None = None) -> Tensor:
         """Create a slot.  With an rng, values are uniform in
         (-1/sqrt(rows), +1/sqrt(rows)); without, zeros (used for biases)."""
         if name in self._slots:
             raise ValueError(f"duplicate slot {name!r}")
-        if rng is None:
-            data = np.zeros((rows, cols), dtype=self.dtype)
-        else:
+        lo = self.values.size
+        hi = lo + rows * cols
+        if hi > self._buf.shape[1]:
+            # Grow geometrically, so building a store re-packs the buffer only
+            # O(log n) times; every re-pack re-points the existing slots.  The
+            # room is left uninitialised and zeroed one slot at a time.
+            buf = np.empty((2, max(hi, 2 * self._buf.shape[1])))
+            buf[:, :lo] = self._buf[:, :lo]
+            self._buf = buf
+            pos = 0
+            for t in self._slots.values():
+                t.data, t.grad = self._views(pos, t.rows, t.cols)
+                pos += t.data.size
+        self._buf[:, lo:hi] = 0.0
+        data, grad = self._views(lo, rows, cols)
+        if rng is not None:
             bound = 1.0 / np.sqrt(rows)
-            data = np.array(
-                [[rng.uniform(-bound, bound) for _ in range(cols)] for _ in range(rows)],
-                dtype=self.dtype,
-            )
-        t = Tensor(data, dtype=self.dtype)
+            data[...] = [[rng.uniform(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        t = Tensor(data)
+        t.grad = grad
         self._slots[name] = t
+        self.values = self._buf[0, :hi]
+        self.grads = self._buf[1, :hi]
         return t
+
+    def _views(self, lo: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        hi = lo + rows * cols
+        return self._buf[0, lo:hi].reshape(rows, cols), self._buf[1, lo:hi].reshape(rows, cols)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._slots[name]
@@ -117,35 +136,31 @@ class ParamStore:
 
     @property
     def n_params(self) -> int:
-        return sum(t.data.size for t in self._slots.values())
+        return self.values.size
 
     def zero_grad(self) -> None:
-        for t in self._slots.values():
-            t.grad = None
+        self.grads.fill(0.0)
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([t.data.ravel() for t in self._slots.values()])
+        """A copy of `values`: later updates do not show in it."""
+        return self.values.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=self.dtype)
+        """Write every parameter in place; slot views see the new values."""
+        vec = np.asarray(vec, dtype=np.float64)
         if vec.size != self.n_params:
             raise ShapeMismatch(f"flat vector has {vec.size} entries, store has {self.n_params}")
-        pos = 0
-        for t in self._slots.values():
-            size = t.data.size
-            t.data = vec[pos: pos + size].reshape(t.data.shape).copy()
-            pos += size
+        self.values[:] = vec.ravel()
 
     def grad_flat(self) -> np.ndarray:
-        parts = []
-        for t in self._slots.values():
-            parts.append((t.grad if t.grad is not None else np.zeros_like(t.data)).ravel())
-        return np.concatenate(parts)
+        """A copy of `grads`."""
+        return self.grads.copy()
 
     def copy(self) -> "ParamStore":
-        other = ParamStore(dtype=self.dtype)
+        other = ParamStore()
         for name, t in self._slots.items():
-            other._slots[name] = Tensor(t.data.copy(), dtype=self.dtype)
+            other.add(name, t.rows, t.cols)
+        other.values[:] = self.values
         return other
 
 
@@ -254,58 +269,10 @@ def downsample_indices(n_rows: int, step: int, window: int) -> np.ndarray:
     return np.arange(start, n_rows, step, dtype=np.int64)
 
 
-def downsample(tape: Tape, x: Tensor, step: int, window: int) -> Tensor:
-    """Keep the trailing `window` rows, then every `step`-th of those;
-    output has ceil(window / step) rows."""
-    idx = downsample_indices(x.rows, step, window)
-    out = Tensor(x.data[idx])
-    if tape.recording:
-        def _back():
-            g = out.grad
-            if g is None:
-                return
-            x.ensure_grad()
-            x.grad[idx] += g
-        tape.record(_back)
-    return out
-
-
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
     m = s.max(axis=-1, keepdims=True)
     e = np.exp(s - m)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def attention(tape: Tape, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q @ k.T / sqrt(d_k)) @ v with row-wise max subtraction."""
-    if q.cols != k.cols:
-        raise ShapeMismatch(f"attention: q cols {q.cols} != k cols {k.cols}")
-    if k.rows != v.rows:
-        raise ShapeMismatch(f"attention: k rows {k.rows} != v rows {v.rows}")
-    scale = 1.0 / np.sqrt(q.cols)
-    a = _softmax_rows(q.data @ k.data.T * scale)
-    out = Tensor(a @ v.data)
-    if tape.recording:
-        def _back():
-            g = out.grad
-            if g is None:
-                return
-            da = g @ v.data.T
-            ds = a * (da - (da * a).sum(axis=1, keepdims=True))
-            q.ensure_grad()
-            k.ensure_grad()
-            v.ensure_grad()
-            v.grad += a.T @ g
-            q.grad += ds @ k.data * scale
-            k.grad += ds.T @ q.data * scale
-        tape.record(_back)
-    return out
-
-
-def attention_weights(q: Tensor, k: Tensor) -> np.ndarray:
-    """The softmax weight matrix the attention op would use (inspection only)."""
-    scale = 1.0 / np.sqrt(q.cols)
-    return _softmax_rows(q.data @ k.data.T * scale)
 
 
 def scalar_attention(tape: Tape, q: Tensor, kv: Tensor) -> Tensor:
@@ -313,8 +280,8 @@ def scalar_attention(tape: Tape, q: Tensor, kv: Tensor) -> Tensor:
 
     Row b of `q` holds the query scalars of window b, row b of `kv` the
     key/value scalars.  Per window: S[i, j] = q[i] * kv[j], A = softmax_j(S),
-    out[i] = sum_j A[i, j] * kv[j].  Equivalent to `attention` applied per
-    window with column-vector inputs.
+    out[i] = sum_j A[i, j] * kv[j].  Equivalent to scaled dot-product
+    attention applied per window with column-vector inputs.
     """
     if q.rows != kv.rows:
         raise ShapeMismatch(f"scalar_attention: {q.rows} vs {kv.rows} windows")

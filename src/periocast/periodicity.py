@@ -297,15 +297,3 @@ def dtw_distance(a, b, band: int | None = None) -> float:
             cur[jj] = cost + min(prev[jj], cur[jj - 1], prev[jj - 1])
         prev = cur
     return float(prev[m])
-
-
-def verify_bound(series: WorkloadSeries | np.ndarray, k: int, threshold: float) -> tuple[float, float]:
-    """Empirical mean of (x_{t-k} - x_t)^2 against the stationary-case bound
-    2 * (1 - threshold) * variance.  Returns (empirical, bound)."""
-    x = series.values if isinstance(series, WorkloadSeries) else np.asarray(series, dtype=np.float64)
-    if not (0 < k < len(x)):
-        raise ValueError("need 0 < k < len(series)")
-    d = x[k:] - x[:-k]
-    empirical = float(np.mean(d * d))
-    bound = 2.0 * (1.0 - threshold) * float(x.var())
-    return empirical, bound

@@ -71,11 +71,13 @@ class Adam:
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        self.store.set_flat(self.store.get_flat() - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        self.store.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class Sgd:
@@ -84,7 +86,7 @@ class Sgd:
         self.lr = lr
 
     def step(self, grad: np.ndarray) -> None:
-        self.store.set_flat(self.store.get_flat() - self.lr * grad)
+        self.store.values -= self.lr * grad
 
 
 @dataclass
@@ -113,22 +115,24 @@ class TrainLog:
 
 def _predict_all(windows: list[SampleWindow], store: ParamStore, cfg: WindowConfig,
                  ablation: Ablation, batch_size: int = 256):
-    """Forward every window without recording; returns stacked arrays."""
-    preds, truths, heavies, weights = [], [], [], []
+    """Forward every window without recording.  Returns stacked arrays:
+    (forecast, truth, heavy mask, fusion weights or None, decoded sequence)."""
+    preds, truths, heavies, weights, y_hats = [], [], [], [], []
     for lo in range(0, len(windows), batch_size):
         chunk = windows[lo: lo + batch_size]
         bf = forward_batch(chunk, store, cfg, ablation, Tape(recording=False))
         preds.append(bf.y.data)
         truths.append(np.stack([w.target for w in chunk]))
         heavies.append(np.stack([w.heavy for w in chunk]))
+        y_hats.append(bf.y_hat)
         if bf.fusion_weights is not None:
             weights.append(bf.fusion_weights)
     return (np.concatenate(preds), np.concatenate(truths), np.concatenate(heavies),
-            np.concatenate(weights) if weights else None)
+            np.concatenate(weights) if weights else None, np.concatenate(y_hats))
 
 
 def _val_scores(windows, store, cfg, ablation):
-    pred, truth, heavy, _ = _predict_all(windows, store, cfg, ablation)
+    pred, truth, heavy, _, _ = _predict_all(windows, store, cfg, ablation)
     overall = metrics(pred, truth).mse
     try:
         heavy_mse = metrics(pred, truth, heavy).mse
@@ -246,7 +250,7 @@ def evaluate(store: ParamStore, windows: list[SampleWindow], cfg: WindowConfig,
     """
     if not windows:
         raise EmptySelection("no windows to evaluate")
-    pred, truth, heavy, weights = _predict_all(windows, store, cfg, ablation, batch_size)
+    pred, truth, heavy, weights, _ = _predict_all(windows, store, cfg, ablation, batch_size)
 
     def _report(sel: np.ndarray) -> MachineReport:
         overall = metrics(pred[sel], truth[sel])

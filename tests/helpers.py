@@ -1,15 +1,21 @@
 """Shared test utilities: independent oracles and gradient checking.
 
 The oracles here are deliberately naive re-derivations (double loops, path
-enumeration) so they cannot share a bug with the library implementations.
+enumeration, per-sequence loops) so they cannot share a bug with the library
+implementations.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from periocast.errors import BadLength, NonFinite, ShapeMismatch
+from periocast.loss import LossConfig
 from periocast.model import SampleWindow, WindowConfig
-from periocast.neural import ParamStore
+from periocast.neural import ParamStore, Tape, Tensor
+from periocast.traceio import WorkloadSeries
 
 
 # --- independent oracles ----------------------------------------------------
@@ -52,6 +58,104 @@ def dtw_exhaustive(a, b) -> float:
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def verify_bound(series: WorkloadSeries | np.ndarray, k: int, threshold: float) -> tuple[float, float]:
+    """Empirical mean of (x_{t-k} - x_t)^2 against the stationary-case bound
+    2 * (1 - threshold) * variance.  Returns (empirical, bound)."""
+    x = series.values if isinstance(series, WorkloadSeries) else np.asarray(series, dtype=np.float64)
+    if not (0 < k < len(x)):
+        raise ValueError("need 0 < k < len(series)")
+    d = x[k:] - x[:-k]
+    empirical = float(np.mean(d * d))
+    bound = 2.0 * (1.0 - threshold) * float(x.var())
+    return empirical, bound
+
+
+def _softmax_rows(s: np.ndarray) -> np.ndarray:
+    m = s.max(axis=-1, keepdims=True)
+    e = np.exp(s - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_weights(q: Tensor, k: Tensor) -> np.ndarray:
+    """softmax(q @ k.T / sqrt(d_k)) with row-wise max subtraction."""
+    scale = 1.0 / np.sqrt(q.cols)
+    return _softmax_rows(q.data @ k.data.T * scale)
+
+
+def attention(tape: Tape, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Generic scaled dot-product attention, softmax(q @ k.T / sqrt(d_k)) @ v,
+    with its backward pass: the reference for the model's batched variants."""
+    if q.cols != k.cols:
+        raise ShapeMismatch(f"attention: q cols {q.cols} != k cols {k.cols}")
+    if k.rows != v.rows:
+        raise ShapeMismatch(f"attention: k rows {k.rows} != v rows {v.rows}")
+    scale = 1.0 / np.sqrt(q.cols)
+    a = attention_weights(q, k)
+    out = Tensor(a @ v.data)
+    if tape.recording:
+        def _back():
+            g = out.grad
+            if g is None:
+                return
+            da = g @ v.data.T
+            ds = a * (da - (da * a).sum(axis=1, keepdims=True))
+            q.ensure_grad()
+            k.ensure_grad()
+            v.ensure_grad()
+            v.grad += a.T @ g
+            q.grad += ds @ k.data * scale
+            k.grad += ds.T @ q.data * scale
+        tape.record(_back)
+    return out
+
+
+@dataclass(frozen=True)
+class LossValue:
+    value: float
+    alpha: np.ndarray  # per-step weights, nonnegative, sum to 1
+    argmax_t: int      # index of the largest squared error (first on ties)
+
+
+def _check(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    if pred.shape != truth.shape:
+        raise BadLength(f"pred {pred.shape} vs truth {truth.shape}")
+    if pred.shape[-1] < 2:
+        raise BadLength("sequence loss needs length >= 2")
+    e = pred - truth
+    if not np.all(np.isfinite(e)):
+        raise NonFinite("non-finite prediction or truth")
+    return e
+
+
+def loss(pred, truth, cfg: LossConfig) -> LossValue:
+    """Worst-step loss of one sequence: the per-row reference for `batch_loss`."""
+    e = _check(np.asarray(pred, dtype=np.float64).ravel(),
+               np.asarray(truth, dtype=np.float64).ravel())
+    sq = e * e
+    t = int(np.argmax(sq))
+    if cfg.mode == "mse":
+        alpha = np.full(len(sq), 1.0 / len(sq))
+        return LossValue(float(sq.mean()), alpha, t)
+    if cfg.mode == "limit":
+        alpha = np.zeros(len(sq))
+        alpha[t] = 1.0
+        return LossValue(float(sq[t]), alpha, t)
+    m = sq[t]
+    # Max is subtracted before exponentiating; one term is exactly exp(0),
+    # so the log argument is >= 1 and the value is >= m exactly.
+    ex = np.exp((sq - m) / cfg.gamma)
+    alpha = ex / ex.sum()
+    return LossValue(float(m + cfg.gamma * np.log(ex.sum())), alpha, t)
+
+
+def backward(pred, truth, cfg: LossConfig) -> np.ndarray:
+    """d loss / d pred of one sequence; equals alpha * 2e in every mode."""
+    p = np.asarray(pred, dtype=np.float64).ravel()
+    t = np.asarray(truth, dtype=np.float64).ravel()
+    e = _check(p, t)
+    return loss(p, t, cfg).alpha * 2.0 * e
 
 
 # --- gradient checking ------------------------------------------------------

@@ -12,18 +12,18 @@ import time
 import numpy as np
 import pytest
 
-from helpers import acf_naive, dtw_exhaustive, fd_param_grad, max_rel_err, random_window
+from helpers import (acf_naive, attention, dtw_exhaustive, fd_param_grad, loss, max_rel_err,
+                     random_window, verify_bound)
 from periocast.cli import main
-from periocast.loss import LossConfig, batch_loss, loss
+from periocast.loss import LossConfig, batch_loss
 from periocast.model import (Ablation, WindowConfig, build_params, forward_batch,
                              make_windows, merge_splits)
-from periocast.neural import (ParamStore, Tape, add_autoencoder_slots, attention,
-                              autoencoder, concat_cols, downsample, linear,
-                              pair_attention, recurrent_cell_step, scalar_attention,
-                              select_cols, tanh)
+from periocast.neural import (ParamStore, Tape, add_autoencoder_slots, autoencoder,
+                              concat_cols, linear, pair_attention, recurrent_cell_step,
+                              scalar_attention, select_cols, tanh)
 from periocast.neural import add as tensor_add
 from periocast.periodicity import (PeriodicityConfig, build_knowledge, detect_period,
-                                   dtw_distance, fit_threshold_gmm_sweep, verify_bound)
+                                   dtw_distance, fit_threshold_gmm_sweep)
 from periocast.rng import Prng
 from periocast.stats import acf
 from periocast.traceio import SyntheticSpec, WorkloadSeries, generate
@@ -114,13 +114,6 @@ def _primitive_runs(rng, seed):
         return [(out, p.setdefault("select", proj_like(out)))]
 
     runs.append(("concat+select", st4, run_select))
-
-    st5 = ParamStore()
-    d5 = st5.add("x", 8, 3)
-    _fill(d5, rng)
-    runs.append(("downsample", st5,
-                 lambda tape: [(out := downsample(tape, d5, 2, 6),
-                                p.setdefault("ds", proj_like(out)))]))
 
     st6 = ParamStore()
     q6, k6, v6 = st6.add("q", 3, 4), st6.add("k", 5, 4), st6.add("v", 5, 2)

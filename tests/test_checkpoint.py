@@ -29,8 +29,23 @@ def test_round_trip_bitwise(tmp_path):
     assert len(checksum) == 64
     assert meta == META
     assert loaded.names() == store.names()
+    assert loaded.values.tobytes() == store.values.tobytes()
     for name in store.names():
         assert np.array_equal(loaded[name].data, store[name].data)
+        assert np.shares_memory(loaded[name].data, loaded.values)
+
+
+def test_duplicate_tensor_name_detected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _store(), META)
+
+    def repeat_name(body):
+        at = bytes(body).index(b"enc.b")
+        body[at: at + 5] = b"enc.w"
+
+    _rewrite_with_valid_digest(path, repeat_name)
+    with pytest.raises(CheckpointError, match="duplicate"):
+        load_checkpoint(path)
 
 
 def test_identical_saves_identical_bytes(tmp_path):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import backward, loss
 from periocast.errors import BadLength, NonFinite
-from periocast.loss import LossConfig, backward, batch_loss, loss
+from periocast.loss import LossConfig, batch_loss
 
 
 # --- config parsing ------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_array_grad, fd_param_grad, max_rel_err
+from helpers import attention, attention_weights, fd_array_grad, fd_param_grad, max_rel_err
 from periocast.errors import ShapeMismatch, TapeConsumed, WindowTooLarge
 from periocast.neural import (
     ParamStore,
@@ -11,11 +11,8 @@ from periocast.neural import (
     Tensor,
     add,
     add_autoencoder_slots,
-    attention,
-    attention_weights,
     autoencoder,
     concat_cols,
-    downsample,
     downsample_indices,
     linear,
     pair_attention,
@@ -133,6 +130,43 @@ def test_store_grad_flat_zeros_for_untouched():
     assert np.array_equal(store.grad_flat(), np.zeros(4))
 
 
+def test_store_slots_are_views_into_one_buffer():
+    store = ParamStore()
+    store.add("w", 3, 4, Prng(0))
+    for k in range(6):  # enough later adds to re-pack the buffer
+        store.add(f"s{k}", 5, 7, Prng(k + 1))
+    store.add("b", 1, 9)
+    assert not store["b"].data.any() and not store.grads.any()
+    assert np.shares_memory(store["w"].data, store.values)
+    assert np.shares_memory(store["w"].grad, store.grads)
+    assert np.array_equal(store["s5"].data.ravel(), store.values[-44:-9])
+    store.set_flat(np.arange(store.n_params, dtype=np.float64))
+    assert np.shares_memory(store["w"].data, store.values)
+    assert np.array_equal(store["w"].data, np.arange(12.0).reshape(3, 4))
+
+
+def test_store_data_sees_later_set_flat():
+    store = ParamStore()
+    store.add("a", 2, 3, Prng(0))
+    store.add("w", 2, 2, Prng(1))
+    w = store["w"].data
+    store.set_flat(np.full(store.n_params, 0.5))
+    assert np.array_equal(w, np.full((2, 2), 0.5))
+
+
+def test_store_flat_reads_are_copies():
+    store = ParamStore()
+    w = store.add("w", 2, 2, Prng(0))
+    base = store.get_flat()
+    grads = store.grad_flat()
+    store.set_flat(base + 1.0)
+    w.grad += 1.0
+    assert np.array_equal(store.get_flat(), base + 1.0)
+    assert np.array_equal(grads, np.zeros(4))
+    store.zero_grad()
+    assert np.array_equal(store.grad_flat(), np.zeros(4))
+
+
 # --- finite-difference harness for each primitive ----------------------------------
 
 def _check_op(build, n_seeds=5):
@@ -244,16 +278,6 @@ def test_concat_select_gradients():
 def test_downsample_rows_and_gradient():
     idx = downsample_indices(10, 3, 7)
     assert idx.tolist() == [3, 6, 9]
-    x_arr = np.random.default_rng(0).normal(size=(10, 2))
-    x = Tensor(x_arr)
-    tape = Tape()
-    out = downsample(tape, x, 3, 7)
-    assert np.array_equal(out.data, x_arr[[3, 6, 9]])
-    out.grad = np.ones_like(out.data)
-    tape.backward()
-    expect = np.zeros_like(x_arr)
-    expect[[3, 6, 9]] = 1.0
-    assert np.array_equal(x.grad, expect)
 
 
 def test_downsample_count_is_ceil():

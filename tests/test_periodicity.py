@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dtw_exhaustive
+from helpers import dtw_exhaustive, verify_bound
 from periocast.errors import BandTooNarrow, DegenerateComponent, SeriesTooShort
 from periocast.periodicity import (
     SENTINEL,
@@ -15,7 +15,6 @@ from periocast.periodicity import (
     fit_threshold_gmm,
     fit_threshold_gmm_sweep,
     match,
-    verify_bound,
 )
 from periocast.traceio import SyntheticSpec, WorkloadSeries, generate
 

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import tiny_config
 from periocast.errors import EmptySelection, EmptyTrainSet, NonFiniteLoss
-from periocast.loss import LossConfig
-from periocast.model import Ablation, build_params, make_windows, merge_splits
+from periocast.loss import LossConfig, batch_loss
+from periocast.model import Ablation, build_params, forward_batch, make_windows, merge_splits
 from periocast.neural import ParamStore
 from periocast.periodicity import PeriodicityConfig, build_knowledge, detect_period
 from periocast.rng import Prng
@@ -102,6 +102,38 @@ def test_adam_first_step_size_is_lr():
     store = _one_param_store(0.0)
     Adam(store, lr=0.05).step(np.array([7.0]))
     assert store["w"].data[0, 0] == pytest.approx(-0.05, rel=1e-6)
+
+
+def test_adam_in_place_matches_out_of_place_formula_bitwise():
+    # a 20-step gradient sequence recorded from real training steps, replayed
+    # through the textbook out-of-place update
+    cfg, split = _dataset(seed=5)
+    store = build_params(cfg, Ablation.FULL, Prng(5))
+    opt = Adam(store, lr=0.01)
+    theta = store.get_flat()
+    grads, thetas = [], []
+    for step in range(20):
+        batch = split.train[(step * 4) % len(split.train):][:4]
+        store.zero_grad()
+        bf = forward_batch(batch, store, cfg, Ablation.FULL)
+        _, grad, _ = batch_loss(bf.y.data, np.stack([w.target for w in batch]), LossConfig())
+        bf.y.grad = grad
+        bf.tape.backward()
+        grads.append(store.grad_flat())
+        opt.step(grads[-1])
+        thetas.append(store.get_flat())
+
+    b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, (g, got) in enumerate(zip(grads, thetas), start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(got, theta)
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
 
 # --- training loop --------------------------------------------------------------------
