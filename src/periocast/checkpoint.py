@@ -60,6 +60,14 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, str]:
     body, digest = raw[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"{path}: checksum mismatch")
+    try:
+        store, meta = _parse(body, path)
+    except (struct.error, ValueError) as exc:  # a header that overruns the body, bad UTF-8 or JSON
+        raise CheckpointError(f"{path}: malformed: {exc}") from exc
+    return store, meta, digest.hex()
+
+
+def _parse(body: bytes, path: str | Path) -> tuple[ParamStore, dict]:
     if body[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic")
     pos = 4
@@ -83,9 +91,11 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, str]:
         pos += 8
         if name in store:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+        if pos + rows * cols * 8 > len(body):
+            raise CheckpointError(f"{path}: tensor {name!r} overruns the file")
         store.add(name, rows, cols).data[...] = np.frombuffer(
             body, dtype="<f8", count=rows * cols, offset=pos).reshape(rows, cols)
         pos += rows * cols * 8
     if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes")
-    return store, meta, digest.hex()
+    return store, meta

@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SeriesTooShort, ShapeMismatch
 from .neural import (
@@ -96,11 +97,6 @@ class WindowConfig:
         if self.d != 1:
             raise ValueError("only univariate traces are supported")
 
-    @property
-    def span(self) -> int:
-        """Ticks of history a window consumes before its target."""
-        return self.m
-
     def effective_ds_window(self) -> int:
         return min(self.ds_window, self.m)
 
@@ -150,34 +146,26 @@ def make_windows(series: WorkloadSeries, knowledge: PeriodKnowledge | None,
                  split=(0.7, 0.1, 0.2)) -> WindowSplit:
     """Cut stride-1 windows and split them chronologically.
 
-    A series of length m + j yields exactly one window.  The heavy flags are
-    computed once from the machine's full series.  The split fractions apply
-    to the window list in time order, so every training window starts before
-    every validation window, which starts before every test window.
+    Every window is a view into the series, and one `match` call finds the
+    period continuation of all of them.  A series of length m + j yields
+    exactly one window.  The heavy flags are computed once from the
+    machine's full series.  The split fractions apply to the window list in
+    time order, so every training window starts before every validation
+    window, which starts before every test window.
     """
     if len(split) != 3 or any(s < 0 for s in split) or abs(sum(split) - 1.0) > 1e-9:
         raise ValueError("split must be three nonnegative fractions summing to 1")
-    v = series.values
-    span = cfg.span
-    n_windows = len(v) - span - cfg.j + 1
+    v, m, j = series.values, cfg.m, cfg.j
+    n_windows = len(v) - m - j + 1
     if n_windows < 1:
-        raise SeriesTooShort(f"series length {len(v)} < m + j = {span + cfg.j}")
-    hv = heavy_mask(series).mask
-    windows = []
-    for s in range(n_windows):
-        x_long = v[s: s + span]
-        x_short = x_long[span - cfg.i:]
-        target = v[s + span: s + span + cfg.j]
-        matched = match(knowledge, x_short, cfg.j, pcfg)
-        windows.append(SampleWindow(
-            machine_id=series.machine_id,
-            start=s,
-            x_long=x_long,
-            x_short=x_short,
-            y_period=matched.y_period,
-            target=target,
-            heavy=hv[s + span: s + span + cfg.j],
-        ))
+        raise SeriesTooShort(f"series length {len(v)} < m + j = {m + j}")
+    x_long = sliding_window_view(v, m)[:n_windows]
+    x_short = x_long[:, m - cfg.i:]
+    target = sliding_window_view(v[m:], j)
+    heavy = sliding_window_view(heavy_mask(series).mask[m:], j)
+    y_period = match(knowledge, x_short, j, pcfg).y_period
+    windows = [SampleWindow(series.machine_id, s, x_long[s], x_short[s], y_period[s], target[s], heavy[s])
+               for s in range(n_windows)]
     n_train = int(split[0] * n_windows)
     n_val = int(split[1] * n_windows)
     return WindowSplit(

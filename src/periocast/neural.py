@@ -104,11 +104,7 @@ class ParamStore:
             # room is left uninitialised and zeroed one slot at a time.
             buf = np.empty((2, max(hi, 2 * self._buf.shape[1])))
             buf[:, :lo] = self._buf[:, :lo]
-            self._buf = buf
-            pos = 0
-            for t in self._slots.values():
-                t.data, t.grad = self._views(pos, t.rows, t.cols)
-                pos += t.data.size
+            self._repoint(buf)
         self._buf[:, lo:hi] = 0.0
         data, grad = self._views(lo, rows, cols)
         if rng is not None:
@@ -120,6 +116,14 @@ class ParamStore:
         self.values = self._buf[0, :hi]
         self.grads = self._buf[1, :hi]
         return t
+
+    def _repoint(self, buf: np.ndarray) -> None:
+        """Move every slot onto `buf`, which holds them at the same offsets."""
+        self._buf = buf
+        pos = 0
+        for t in self._slots.values():
+            t.data, t.grad = self._views(pos, t.rows, t.cols)
+            pos += t.data.size
 
     def _views(self, lo: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
         hi = lo + rows * cols
@@ -157,10 +161,13 @@ class ParamStore:
         return self.grads.copy()
 
     def copy(self) -> "ParamStore":
+        """Same slots and values in one new buffer; gradients start at zero."""
         other = ParamStore()
-        for name, t in self._slots.items():
-            other.add(name, t.rows, t.cols)
-        other.values[:] = self.values
+        other._slots = {name: Tensor(t.data) for name, t in self._slots.items()}
+        buf = np.zeros((2, self.n_params))
+        buf[0] = self.values
+        other._repoint(buf)
+        other.values, other.grads = buf[0], buf[1]
         return other
 
 

@@ -41,6 +41,8 @@ class PeriodicityConfig:
             raise ValueError("k_max must exceed k_min")
         if self.distance not in ("mse", "dtw"):
             raise ValueError("distance must be 'mse' or 'dtw'")
+        if self.dtw_band is not None and self.dtw_band < 0:
+            raise ValueError("dtw_band must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -228,72 +230,81 @@ def build_knowledge(series: WorkloadSeries, report: PeriodicityReport) -> Period
 
 @dataclass(frozen=True)
 class PeriodMatch:
-    """Best cyclic alignment of the template to a recent window.
+    """Best cyclic alignment of the template to a recent window: an int
+    `t_a`, `y_period` (j,) and a float `distance`, or arrays (n,), (n, j) and
+    (n,) for a stack of n windows.  With no knowledge: t_a = -1, distance =
+    inf and y_period is the sentinel vector (-1, ..., -1), which the model
+    consumes verbatim."""
 
-    With no knowledge: t_a = -1, distance = inf and y_period is the sentinel
-    vector (-1, ..., -1), which the model consumes verbatim.
-    """
-
-    t_a: int
+    t_a: int | np.ndarray
     y_period: np.ndarray
-    distance: float
+    distance: float | np.ndarray
+
+
+_MATCH_LANES = 4096  # window x offset lanes per block: bounds the (block, p, I) state
 
 
 def match(knowledge: PeriodKnowledge | None, x_short: np.ndarray, j: int,
           cfg: PeriodicityConfig) -> PeriodMatch:
-    """Slide the recent window over the template (cyclically) and return the
-    continuation after the best-matching offset.  Ties go to the smallest
-    offset.  Distance is mean squared difference, or banded DTW."""
-    xs = np.asarray(x_short, dtype=np.float64).ravel()
-    if j < 1 or len(xs) < 1:
-        raise ValueError("need x_short and j of length >= 1")
+    """Slide each recent window, (I,) or a stack (n, I), over the template
+    (cyclically) and return the continuation after its best-matching offset.
+    Ties go to the smallest offset.  Distance is mean squared difference, or
+    banded DTW, over blocks of about `_MATCH_LANES` window x offset lanes."""
+    xs = np.asarray(x_short, dtype=np.float64)
+    if j < 1 or xs.ndim not in (1, 2) or xs.shape[-1] < 1:
+        raise ValueError("need x_short of shape (I,) or (n, I) with I >= 1, and j >= 1")
+    stack = xs.reshape(-1, xs.shape[-1])
+    n, width = stack.shape
     if knowledge is None:
-        return PeriodMatch(-1, np.full(j, SENTINEL), math.inf)
-    xp = knowledge.x_period
-    p = len(xp)
-    offsets = (np.arange(p)[:, None] + np.arange(len(xs))[None, :]) % p
-    segments = xp[offsets]  # (p, I): row a = template starting at offset a
-    if cfg.distance == "mse":
-        diff = segments - xs[None, :]
-        dists = (diff * diff).mean(axis=1)
-        t_a = int(np.argmin(dists))
-        best = float(dists[t_a])
+        t_a, y, best = np.full(n, -1), np.full((n, j), SENTINEL), np.full(n, math.inf)
     else:
-        best = math.inf
-        t_a = 0
-        for a in range(p):
-            d = dtw_distance(segments[a], xs, cfg.dtw_band)
-            if d < best:
-                best, t_a = d, a
-    y_idx = (t_a + len(xs) + np.arange(j)) % p
-    return PeriodMatch(t_a, xp[y_idx].copy(), best)
+        xp = knowledge.x_period
+        p = len(xp)
+        segments = xp[(np.arange(p)[:, None] + np.arange(width)) % p]  # row a starts at offset a
+        dists = np.empty((n, p))
+        block = max(1, _MATCH_LANES // p)
+        for lo in range(0, n, block):
+            windows = stack[lo: lo + block, None, :]
+            if cfg.distance == "mse":
+                dists[lo: lo + block] = np.square(segments - windows).mean(axis=2)
+            else:
+                dists[lo: lo + block] = dtw_distance(segments, windows, cfg.dtw_band)
+        t_a = np.argmin(dists, axis=1)
+        best = dists[np.arange(n), t_a]
+        y = xp[(t_a[:, None] + width + np.arange(j)) % p]
+    if xs.ndim == 1:
+        return PeriodMatch(int(t_a[0]), y[0], float(best[0]))
+    return PeriodMatch(t_a, y, best)
 
 
-def dtw_distance(a, b, band: int | None = None) -> float:
+def dtw_distance(a, b, band: int | None = None):
     """Dynamic time warping distance with squared pointwise cost.
 
     Steps are down, right and diagonal; `band` restricts the path to
-    |i - j| <= band (Sakoe-Chiba).  A band narrower than the length
-    difference leaves no valid path.
+    |i - j| <= band (Sakoe-Chiba), and one narrower than the length
+    difference leaves no valid path.  `a` (..., n) and `b` (..., m)
+    broadcast over their leading axes, one pair per lane; the result has
+    the broadcast leading shape, or is a float for two 1-D inputs.
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    n, m = len(a), len(b)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    n, m = a.shape[-1], b.shape[-1]
     if n == 0 or m == 0:
         raise ValueError("dtw needs non-empty inputs")
     if band is not None and band < abs(n - m):
         raise BandTooNarrow(f"band {band} < length difference {abs(n - m)}")
-    inf = math.inf
-    prev = np.full(m + 1, inf)
+    lanes = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a = np.broadcast_to(a, lanes + (n,)).reshape(-1, n).T.copy()  # (n, lanes), lanes contiguous
+    b = np.broadcast_to(b, lanes + (m,)).reshape(-1, m).T.copy()  # (m, lanes), lanes contiguous
+    prev = np.full((m + 1, a.shape[1]), math.inf)
     prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = np.full(m + 1, inf)
-        lo, hi = 1, m
-        if band is not None:
-            lo = max(1, i - band)
-            hi = min(m, i + band)
-        for jj in range(lo, hi + 1):
-            cost = (a[i - 1] - b[jj - 1]) ** 2
-            cur[jj] = cost + min(prev[jj], cur[jj - 1], prev[jj - 1])
+    for i in range(n):
+        lo, hi = (0, m) if band is None else (max(0, i - band), min(m, i + band + 1))
+        cost = np.square(a[i] - b[lo:hi])
+        cur = np.full_like(prev, math.inf)
+        np.minimum(prev[lo + 1: hi + 1], prev[lo:hi], out=cur[lo + 1: hi + 1])
+        for jj in range(lo + 1, hi + 1):  # cur[jj] = cost + min(up, diagonal, left)
+            np.minimum(cur[jj], cur[jj - 1], out=cur[jj])
+            cur[jj] += cost[jj - 1 - lo]
         prev = cur
-    return float(prev[m])
+    out = prev[m].reshape(lanes)
+    return float(out) if out.ndim == 0 else out

@@ -60,6 +60,27 @@ def dtw_exhaustive(a, b) -> float:
     return best[0]
 
 
+def dtw_reference(a, b, band: int | None = None) -> float:
+    """Banded DTW by the scalar recurrence, one cell at a time (the library's
+    former implementation): cost + min(up, left, diagonal), two rows kept."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    n, m = len(a), len(b)
+    prev = np.full(m + 1, np.inf)
+    prev[0] = 0.0
+    for i in range(1, n + 1):
+        cur = np.full(m + 1, np.inf)
+        lo, hi = 1, m
+        if band is not None:
+            lo = max(1, i - band)
+            hi = min(m, i + band)
+        for jj in range(lo, hi + 1):
+            cost = (a[i - 1] - b[jj - 1]) ** 2
+            cur[jj] = cost + min(prev[jj], cur[jj - 1], prev[jj - 1])
+        prev = cur
+    return float(prev[m])
+
+
 def verify_bound(series: WorkloadSeries | np.ndarray, k: int, threshold: float) -> tuple[float, float]:
     """Empirical mean of (x_{t-k} - x_t)^2 against the stationary-case bound
     2 * (1 - threshold) * variance.  Returns (empirical, bound)."""

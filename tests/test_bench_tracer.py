@@ -1,0 +1,55 @@
+"""The benchmark's tracer (periobench/tracer.py) wraps periocast functions at
+the place each one is looked up when called.  These tests keep those places
+in step with the library: a hook whose name moved would make a traced
+benchmark run fail with a KeyError."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import periocast
+import periocast.checkpoint
+import periocast.loss
+import periocast.model
+import periocast.neural
+import periocast.periodicity
+import periocast.traceio
+import periocast.training
+from periocast.model import WindowConfig, make_windows
+from periocast.periodicity import PeriodicityConfig, build_knowledge, detect_period
+from periocast.traceio import SyntheticSpec, generate
+
+TRACER = Path(__file__).resolve().parent.parent / "periobench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("periobench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_where_the_tracer_looks_it_up():
+    targets = _tracer_module()._targets(periocast)
+    assert targets
+    for owner, attr, _, _ in targets:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_make_windows_matches_once_per_machine():
+    series = generate(SyntheticSpec(length=200, period=12, amplitude=0.3, noise_std=0.02, seed=5))
+    pcfg = PeriodicityConfig(distance="dtw", dtw_band=1)
+    knowledge = build_knowledge(series, detect_period(series, pcfg))
+    assert knowledge is not None
+    tracer = _tracer_module().Tracer(periocast)
+    tracer.install()
+    try:
+        split = make_windows(series, knowledge, WindowConfig(i=6, m=12, j=2), pcfg)
+    finally:
+        tracer.uninstall()
+    assert len(split.train) + len(split.val) + len(split.test) == 200 - 12 - 2 + 1
+    assert tracer.counts["periodicity.match_calls"] == 1
+    assert tracer.counts["periodicity.dtw_calls"] == 1
+    assert periocast.model.match is periocast.periodicity.match
+    assert np.all(np.concatenate([w.y_period for w in split.train]) != -1.0)

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -133,4 +134,63 @@ def test_trailing_bytes_detected(tmp_path):
 
     _rewrite_with_valid_digest(path, append_junk)
     with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(path)
+
+
+def _tensor_header_at(body, name):
+    """Offset of the (rows, cols) header that follows a tensor's name."""
+    return bytes(body).index(name.encode("utf-8")) + len(name)
+
+
+def test_tensor_header_overrunning_body_detected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _store(), META)
+
+    def grow_rows(body):
+        at = _tensor_header_at(body, "enc.w")
+        assert struct.unpack_from("<I", body, at)[0] == 3
+        struct.pack_into("<I", body, at, 3000)
+
+    _rewrite_with_valid_digest(path, grow_rows)
+    with pytest.raises(CheckpointError, match="overruns"):
+        load_checkpoint(path)
+
+
+def test_huge_tensor_header_detected_without_allocating(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _store(), META)
+
+    def huge_shape(body):
+        struct.pack_into("<II", body, _tensor_header_at(body, "enc.w"), 2**32 - 1, 2**32 - 1)
+
+    _rewrite_with_valid_digest(path, huge_shape)
+    with pytest.raises(CheckpointError, match="overruns"):
+        load_checkpoint(path)
+
+
+def test_tensor_count_overrunning_body_detected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _store(), META)
+
+    def one_more_tensor(body):
+        at = len(MAGIC) + 1
+        (meta_len,) = struct.unpack_from("<I", body, at)
+        at += 4 + meta_len
+        (n_tensors,) = struct.unpack_from("<I", body, at)
+        struct.pack_into("<I", body, at, n_tensors + 1)
+
+    _rewrite_with_valid_digest(path, one_more_tensor)
+    with pytest.raises(CheckpointError, match="malformed"):
+        load_checkpoint(path)
+
+
+def test_bad_meta_json_detected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _store(), META)
+
+    def break_json(body):
+        body[len(MAGIC) + 1 + 4] = ord("#")
+
+    _rewrite_with_valid_digest(path, break_json)
+    with pytest.raises(CheckpointError, match="malformed"):
         load_checkpoint(path)

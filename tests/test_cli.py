@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -262,6 +264,26 @@ def test_usage_error_exits_1(capsys):
 def test_unknown_subcommand_exits_1(capsys):
     rc = main(["transmogrify"])
     assert rc == 1
+
+
+def test_negative_dtw_band_exits_1(tmp_path, data_csv, capsys):
+    rc = main(["train", "--data", str(data_csv), "--out", str(tmp_path / "run"),
+               *TINY_MODEL, *TINY_TRAIN,
+               "--set", "period.distance=dtw", "--set", "period.dtw_band=-1"])
+    assert rc == 1
+    assert "dtw_band" in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_exits_2(tmp_path, data_csv, capsys):
+    _, ckpt_path = _train(tmp_path, data_csv)
+    raw = bytearray(ckpt_path.read_bytes()[:-32])
+    at = raw.index(b"dec.head.b") + len("dec.head.b")
+    struct.pack_into("<I", raw, at, 3000)  # rows 1 -> 3000: the header overruns the file
+    ckpt_path.write_bytes(bytes(raw) + hashlib.sha256(bytes(raw)).digest())
+    rc = main(["evaluate", "--checkpoint", str(ckpt_path), "--data", str(data_csv),
+               "--out", str(tmp_path / "eval"), "--split", "test"])
+    assert rc == 2
+    assert "overruns" in capsys.readouterr().err
 
 
 def test_divergent_training_exits_3(tmp_path, data_csv, capsys):

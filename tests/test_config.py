@@ -84,6 +84,13 @@ def test_bad_model_config_becomes_config_error():
         cfg.window_config()
 
 
+def test_negative_dtw_band_becomes_config_error():
+    cfg = RunConfig.resolve(None, ["period.distance=dtw", "period.dtw_band=-1"])
+    with pytest.raises(ConfigError, match="dtw_band"):
+        cfg.periodicity_config()
+    assert RunConfig.resolve(None, ["period.dtw_band=0"]).periodicity_config().dtw_band == 0
+
+
 def test_bad_split_fractions():
     with pytest.raises(ConfigError):
         RunConfig.resolve(None, ["train.split=0.5,0.5,0.5"])

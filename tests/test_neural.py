@@ -119,9 +119,21 @@ def test_store_rejects_duplicate_names():
 def test_store_copy_is_independent():
     store = ParamStore()
     store.add("w", 2, 2, Prng(0))
+    store.add("b", 1, 3, Prng(1))
+    store.grads.fill(1.0)
     dup = store.copy()
+    assert dup.names() == store.names()
+    assert np.array_equal(dup.values, store.values)
+    assert np.array_equal(dup.grads, np.zeros(store.n_params))
+    for name in dup.names():
+        assert np.shares_memory(dup[name].data, dup.values)
+        assert np.shares_memory(dup[name].grad, dup.grads)
+        assert not np.shares_memory(dup[name].data, store.values)
     dup["w"].data[0, 0] += 9.0
     assert store["w"].data[0, 0] != dup["w"].data[0, 0]
+    assert dup.values[0] == dup["w"].data[0, 0]
+    dup.add("c", 2, 1, Prng(2))  # growing the copy keeps its earlier slots
+    assert dup["w"].data[0, 0] == dup.values[0]
 
 
 def test_store_grad_flat_zeros_for_untouched():

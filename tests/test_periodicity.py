@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dtw_exhaustive, verify_bound
+from helpers import dtw_exhaustive, dtw_reference, verify_bound
 from periocast.errors import BandTooNarrow, DegenerateComponent, SeriesTooShort
 from periocast.periodicity import (
     SENTINEL,
@@ -209,6 +209,43 @@ def test_match_without_knowledge_gives_sentinel():
     assert m.distance == math.inf
     assert np.all(m.y_period == SENTINEL)
     assert len(m.y_period) == 3
+    stacked = match(None, np.zeros((5, 2)), j=3, cfg=PeriodicityConfig())
+    assert np.array_equal(stacked.t_a, np.full(5, -1))
+    assert np.array_equal(stacked.distance, np.full(5, math.inf))
+    assert np.array_equal(stacked.y_period, np.full((5, 3), SENTINEL))
+
+
+@pytest.mark.parametrize("distance,band", [("mse", None), ("dtw", None), ("dtw", 0), ("dtw", 1), ("dtw", 3)])
+@pytest.mark.parametrize("p", [2, 3, 7, 12, 30])
+def test_stacked_match_equals_per_window_match(distance, band, p):
+    rng = np.random.default_rng([p, 9 if band is None else band, distance == "dtw"])
+    template = rng.uniform(size=p)
+    know = PeriodKnowledge("m", template)
+    cfg = PeriodicityConfig(distance=distance, dtw_band=band)
+    if distance == "mse":
+        reference = lambda seg, xs: float(np.mean((seg - xs) ** 2))
+    else:
+        reference = lambda seg, xs: dtw_reference(seg, xs, band)
+    for width in sorted({1, max(1, p - 1), p, p + 5, 2 * p + 3}):  # windows shorter and longer than p
+        stack = rng.uniform(size=(9, width))
+        segments = template[(np.arange(p)[:, None] + np.arange(width)) % p]
+        got = match(know, stack, 3, cfg)
+        assert got.t_a.shape == got.distance.shape == (9,) and got.y_period.shape == (9, 3)
+        for r, row in enumerate(stack):
+            one = match(know, row, 3, cfg)
+            assert isinstance(one.t_a, int) and isinstance(one.distance, float)
+            assert one.t_a == got.t_a[r]
+            assert one.distance == got.distance[r]
+            assert np.array_equal(one.y_period, got.y_period[r])
+            assert np.array_equal(one.y_period, template[(one.t_a + width + np.arange(3)) % p])
+            ref = [reference(seg, row) for seg in segments]
+            assert ref[one.t_a] == pytest.approx(min(ref), rel=1e-12, abs=1e-15)
+            assert one.distance == pytest.approx(min(ref), rel=1e-12, abs=1e-15)
+        if distance == "dtw":
+            lanes = dtw_distance(segments, stack[:, None, :], band)
+            assert lanes.shape == (9, p)
+            for r, a in np.ndindex(9, p):
+                assert lanes[r, a] == dtw_distance(segments[a], stack[r], band)
 
 
 def test_match_dtw_agrees_on_exact_alignment():
@@ -280,6 +317,16 @@ def test_dtw_band_zero_equals_pointwise():
     rng = np.random.default_rng(4)
     a, b = rng.uniform(size=7), rng.uniform(size=7)
     assert dtw_distance(a, b, band=0) == pytest.approx(float(((a - b) ** 2).sum()))
+
+
+@pytest.mark.parametrize("band", [None, 0, 2, 5])
+def test_dtw_matches_scalar_recurrence(band):
+    rng = np.random.default_rng(11)
+    for n, m in [(1, 1), (4, 6), (9, 9), (12, 7)]:
+        if band is not None and band < abs(n - m):
+            continue
+        a, b = rng.uniform(size=n), rng.uniform(size=m)
+        assert dtw_distance(a, b, band) == pytest.approx(dtw_reference(a, b, band), rel=1e-12)
 
 
 def test_dtw_band_too_narrow():
