@@ -81,7 +81,8 @@ def _parse(body: bytes, path: str | Path) -> tuple[ParamStore, dict]:
     pos += meta_len
     (n_tensors,) = struct.unpack_from("<I", body, pos)
     pos += 4
-    store = ParamStore()
+    # Read every header first, then copy the tensors into one buffer.
+    arrays = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack_from("<H", body, pos)
         pos += 2
@@ -89,13 +90,12 @@ def _parse(body: bytes, path: str | Path) -> tuple[ParamStore, dict]:
         pos += name_len
         rows, cols = struct.unpack_from("<II", body, pos)
         pos += 8
-        if name in store:
+        if name in arrays:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         if pos + rows * cols * 8 > len(body):
             raise CheckpointError(f"{path}: tensor {name!r} overruns the file")
-        store.add(name, rows, cols).data[...] = np.frombuffer(
-            body, dtype="<f8", count=rows * cols, offset=pos).reshape(rows, cols)
+        arrays[name] = np.frombuffer(body, dtype="<f8", count=rows * cols, offset=pos).reshape(rows, cols)
         pos += rows * cols * 8
     if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes")
-    return store, meta
+    return ParamStore.from_arrays(arrays), meta

@@ -21,6 +21,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import RunConfig, key_help
 from .errors import (
+    CheckpointError,
     ConfigError,
     EmptyTrainSet,
     NumericError,
@@ -232,7 +233,7 @@ def cmd_train(args) -> int:
 
 def _load_model(cfg: RunConfig, checkpoint_path: str):
     store, meta, checksum = ckpt.load_checkpoint(checkpoint_path)
-    wcfg = WindowConfig.from_meta(meta["model"])
+    wcfg, stored, ablation = _checkpoint_settings(meta, checkpoint_path)
     for key, value in (("model.i", wcfg.i), ("model.m", wcfg.m), ("model.j", wcfg.j),
                        ("model.hidden", wcfg.hidden), ("model.layers", wcfg.layers),
                        ("model.ds_step", wcfg.ds_step), ("model.ds_window", wcfg.ds_window)):
@@ -240,14 +241,32 @@ def _load_model(cfg: RunConfig, checkpoint_path: str):
             raise ConfigError(
                 f"checkpoint was trained with {key}={value}, config asks for {cfg[key]}")
     # The stored period/split settings win so windows are cut the same way.
-    per = meta["period"]
-    cfg.values.update({
-        "period.threshold": per["threshold"], "period.k_min": per["k_min"],
-        "period.k_max": per["k_max"], "period.distance": per["distance"],
-        "period.dtw_band": per["dtw_band"], "train.split": tuple(meta["split"]),
-    })
-    ablation = Ablation(meta["ablation"])
+    cfg.values.update(stored)
     return store, meta, checksum, wcfg, ablation
+
+
+_META_PERIOD_KEYS = ("threshold", "k_min", "k_max", "distance", "dtw_band")
+
+
+def _checkpoint_settings(meta, path) -> tuple[WindowConfig, dict, Ablation]:
+    """The model shape, the period and split config values and the ablation
+    recorded in a checkpoint's meta.  A missing or invalid entry raises
+    CheckpointError: the file is intact but was not written by `train`."""
+    missing = [key for key in ("model", "period", "split", "ablation")
+               if not isinstance(meta, dict) or key not in meta]
+    if missing:
+        raise CheckpointError(f"{path}: meta lacks {', '.join(missing)}")
+    try:
+        wcfg = WindowConfig.from_meta(meta["model"])
+        per = meta["period"]
+        stored = {f"period.{key}": RunConfig._parse(f"period.{key}", per[key])
+                  for key in _META_PERIOD_KEYS}
+        stored["train.split"] = RunConfig._parse("train.split", meta["split"])
+        PeriodicityConfig(**{key: stored[f"period.{key}"] for key in _META_PERIOD_KEYS})
+        ablation = Ablation(meta["ablation"])
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad meta: {exc}") from exc
+    return wcfg, stored, ablation
 
 
 def cmd_predict(args) -> int:

@@ -213,46 +213,47 @@ def _zeros(batch: int, cols: int) -> Tensor:
 
 
 def encode(tape: Tape, store: ParamStore, cfg: WindowConfig,
-           x_short: Tensor, x_long: Tensor) -> tuple[list[Tensor], Tensor]:
+           x_short: Tensor, x_long: Tensor) -> tuple[Tensor, Tensor]:
     """Run the stacked encoder and summarise the long context.
 
-    `x_short` is (batch, i), `x_long` is (batch, m).  Returns the per-tick
-    top-layer hidden states (each (batch, hidden)) and the self-attended
-    downsampled long context (batch, ceil(ds_window / ds_step)).
+    `x_short` is (batch, i), `x_long` is (batch, m).  Returns the top layer's
+    final hidden state (batch, hidden) and the self-attended downsampled long
+    context (batch, ceil(ds_window / ds_step)).  Each tick enters as a column
+    view of `x_short`, not a tape node, so no gradient reaches `x_short`
+    through the encoder.
     """
     if x_short.cols != cfg.i or x_long.cols != cfg.m:
         raise ShapeMismatch("encode: window widths do not match the config")
+    weights = [(store[f"enc.l{layer}.wx"], store[f"enc.l{layer}.wh"], store[f"enc.l{layer}.b"])
+               for layer in range(cfg.layers)]
     h = [_zeros(x_short.rows, cfg.hidden) for _ in range(cfg.layers)]
     c = [_zeros(x_short.rows, cfg.hidden) for _ in range(cfg.layers)]
-    states = []
     for t in range(cfg.i):
-        inp = select_cols(tape, x_short, [t])
-        for layer in range(cfg.layers):
-            h[layer], c[layer] = recurrent_cell_step(
-                tape, inp, h[layer], c[layer],
-                store[f"enc.l{layer}.wx"], store[f"enc.l{layer}.wh"], store[f"enc.l{layer}.b"],
-            )
+        inp = Tensor(x_short.data[:, t: t + 1])
+        for layer, (wx, wh, b) in enumerate(weights):
+            h[layer], c[layer] = recurrent_cell_step(tape, inp, h[layer], c[layer], wx, wh, b)
             inp = h[layer]
-        states.append(h[-1])
     idx = downsample_indices(cfg.m, cfg.ds_step, cfg.effective_ds_window())
     ds = select_cols(tape, x_long, idx)
     x_long_bar = scalar_attention(tape, ds, ds)
-    return states, x_long_bar
+    return h[-1], x_long_bar
 
 
 def decode(tape: Tape, store: ParamStore, cfg: WindowConfig,
-           enc_states: list[Tensor], x_long_bar: Tensor, x_short: Tensor,
+           enc_last: Tensor, x_long_bar: Tensor, x_short: Tensor,
            j: int | None = None) -> Tensor:
     """Autoregressive decoding of the next `j` values.
 
     Cross-attention (recent ticks as queries, long-context summary as
     keys/values) is computed once per window; its rows, concatenated, are
-    projected into the decoder's initial state.  The first decoder input is
-    the last recent value; each later input is the previous prediction.
+    projected into the decoder's initial state, and the encoder's final
+    hidden state `enc_last` is added to the hidden part.  The first decoder
+    input is the last recent value; each later input is the previous
+    prediction.
     """
     j = cfg.j if j is None else j
     h_cross = scalar_attention(tape, x_short, x_long_bar)      # (batch, i)
-    h0 = add(tape, linear(tape, h_cross, store["dec.init.wh"]), enc_states[-1])
+    h0 = add(tape, linear(tape, h_cross, store["dec.init.wh"]), enc_last)
     c0 = linear(tape, h_cross, store["dec.init.wc"])
     y_prev = select_cols(tape, x_short, [cfg.i - 1])
     h, c = h0, c0
@@ -326,8 +327,8 @@ def forward_batch(windows: list[SampleWindow], store: ParamStore, cfg: WindowCon
     x_short_arr, x_long_arr, y_period_arr, _ = stack_windows(windows)
     x_short = Tensor(x_short_arr)
     x_long = Tensor(x_long_arr)
-    enc_states, x_long_bar = encode(tape, store, cfg, x_short, x_long)
-    y_hat = decode(tape, store, cfg, enc_states, x_long_bar, x_short)
+    enc_last, x_long_bar = encode(tape, store, cfg, x_short, x_long)
+    y_hat = decode(tape, store, cfg, enc_last, x_long_bar, x_short)
     if ablation.fuses:
         y, weights = fuse(tape, store, cfg, x_short, y_hat, Tensor(y_period_arr))
     else:

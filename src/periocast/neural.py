@@ -13,6 +13,8 @@ features; data is row-major float64.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeMismatch, TapeConsumed, WindowTooLarge
@@ -160,15 +162,22 @@ class ParamStore:
         """A copy of `grads`."""
         return self.grads.copy()
 
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ParamStore":
+        """Slots named, ordered and shaped as `arrays`, holding copies of their
+        values in one new buffer; gradients start at zero."""
+        store = cls()
+        store._slots = {name: Tensor(a) for name, a in arrays.items()}
+        buf = np.zeros((2, sum(t.data.size for t in store._slots.values())))
+        if store._slots:
+            np.concatenate([t.data.ravel() for t in store._slots.values()], out=buf[0])
+        store._repoint(buf)
+        store.values, store.grads = buf[0], buf[1]
+        return store
+
     def copy(self) -> "ParamStore":
         """Same slots and values in one new buffer; gradients start at zero."""
-        other = ParamStore()
-        other._slots = {name: Tensor(t.data) for name, t in self._slots.items()}
-        buf = np.zeros((2, self.n_params))
-        buf[0] = self.values
-        other._repoint(buf)
-        other.values, other.grads = buf[0], buf[1]
-        return other
+        return ParamStore.from_arrays({name: t.data for name, t in self._slots.items()})
 
 
 # --------------------------------------------------------------------------
@@ -351,11 +360,28 @@ def pair_attention(tape: Tape, q: Tensor, cand0: Tensor, cand1: Tensor) -> tuple
     return out, np.stack([w0, w1], axis=1)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; both where-branches reuse it.  Boolean
-    # indexing would be correct too but is much slower on small gate slices.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+@functools.lru_cache(maxsize=None)
+def _gate_rows(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (scale, shift) rows for the gate quarters i, f, g, o: 0.5 and
+    0.5 on the three sigmoid quarters, 1 and 0 on the tanh quarter.  Every
+    caller shares them, so they are read-only."""
+    scale = np.repeat([[0.5, 0.5, 1.0, 0.5]], hidden, axis=1)
+    shift = np.repeat([[0.5, 0.5, 0.0, 0.5]], hidden, axis=1)
+    scale.flags.writeable = False
+    shift.flags.writeable = False
+    return scale, shift
+
+
+def gates(z: np.ndarray) -> np.ndarray:
+    """All four gate activations of a (rows, 4 * hidden) pre-activation slab.
+
+    sigmoid(v) = 1/2 + tanh(v/2)/2, so one tanh serves every quarter:
+    s = tanh(z * scale) * scale + shift is sigmoid on the input, forget and
+    output quarters and tanh on the cell quarter.  tanh saturates, so no
+    input overflows.
+    """
+    scale, shift = _gate_rows(z.shape[1] // 4)
+    return np.tanh(z * scale) * scale + shift
 
 
 def recurrent_cell_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
@@ -374,13 +400,10 @@ def recurrent_cell_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
         raise ShapeMismatch("cell: weight cols must be 4 * hidden")
     if x.cols != wx.rows or wh.rows != hidden:
         raise ShapeMismatch("cell: input/state dims do not match weights")
-    z = x.data @ wx.data + h.data @ wh.data + b.data
-    # One sigmoid over the whole slab beats three small calls; the unused
-    # cell-candidate quarter costs less than the per-call overhead it saves.
-    s = _sigmoid(z)
+    s = gates(x.data @ wx.data + h.data @ wh.data + b.data)
     i = s[:, :hidden]
     f = s[:, hidden: 2 * hidden]
-    g = np.tanh(z[:, 2 * hidden: 3 * hidden])
+    g = s[:, 2 * hidden: 3 * hidden]
     o = s[:, 3 * hidden:]
     c_new = f * c.data + i * g
     tc = np.tanh(c_new)

@@ -81,6 +81,16 @@ def dtw_reference(a, b, band: int | None = None) -> float:
     return float(prev[m])
 
 
+def logistic(x) -> np.ndarray:
+    """sigmoid(x) by the exp/where formula (the library's former gate
+    activation).  exp(-|x|) never overflows; where it underflows the gate is
+    0 or 1 to within an ulp, so underflow is not an error here."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def verify_bound(series: WorkloadSeries | np.ndarray, k: int, threshold: float) -> tuple[float, float]:
     """Empirical mean of (x_{t-k} - x_t)^2 against the stationary-case bound
     2 * (1 - threshold) * variance.  Returns (empirical, bound)."""

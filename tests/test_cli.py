@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from periocast.cli import main
-from periocast.checkpoint import load_checkpoint
+from periocast.checkpoint import load_checkpoint, save_checkpoint
 from periocast.traceio import SCHEMAS, load_csv
 
 TINY_MODEL = [
@@ -284,6 +284,31 @@ def test_malformed_checkpoint_exits_2(tmp_path, data_csv, capsys):
                "--out", str(tmp_path / "eval"), "--split", "test"])
     assert rc == 2
     assert "overruns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("edit, message", [
+    # the meta that periobench writes: model shape and ablation only
+    pytest.param(lambda meta: {"model": meta["model"], "ablation": "full"}, "lacks period, split",
+                 id="model-and-ablation-only"),
+    pytest.param(lambda meta: {**meta, "ablation": "everything"}, "bad meta", id="unknown-ablation"),
+    pytest.param(lambda meta: {**meta, "period": {**meta["period"], "distance": "cosine"}}, "bad meta",
+                 id="unknown-distance"),
+    pytest.param(lambda meta: {**meta, "split": [0.5, 0.5]}, "bad meta", id="two-split-fractions"),
+    pytest.param(lambda meta: {**meta, "model": {**meta["model"], "hidden": "wide"}}, "bad meta",
+                 id="non-integer-hidden"),
+    pytest.param(lambda meta: [meta], "lacks model", id="meta-not-an-object"),
+])
+def test_checkpoint_meta_checked_exits_2(tmp_path, data_csv, capsys, command, edit, message):
+    _, ckpt_path = _train(tmp_path, data_csv)
+    store, meta, _ = load_checkpoint(ckpt_path)
+    save_checkpoint(ckpt_path, store, edit(meta))  # a valid digest over the edited meta
+    rc = main([command, "--checkpoint", str(ckpt_path), "--data", str(data_csv),
+               "--out", str(tmp_path / "out"), "--split", "test"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_divergent_training_exits_3(tmp_path, data_csv, capsys):

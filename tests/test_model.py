@@ -202,14 +202,28 @@ def test_zero_params_encoder_states_zero():
     store = build_params(cfg, Ablation.FULL, seed_or_rng=0)
     store.set_flat(np.zeros(store.n_params))
     w = random_window(cfg, np.random.default_rng(1))
-    states, x_long_bar = encode(Tape(recording=False), store, cfg,
-                                Tensor(w.x_short.reshape(1, -1)),
-                                Tensor(w.x_long.reshape(1, -1)))
-    assert len(states) == cfg.i
-    for s in states:
-        assert np.all(s.data == 0.0)
+    enc_last, x_long_bar = encode(Tape(recording=False), store, cfg,
+                                  Tensor(w.x_short.reshape(1, -1)),
+                                  Tensor(w.x_long.reshape(1, -1)))
+    assert enc_last.data.shape == (1, cfg.hidden)
+    assert np.all(enc_last.data == 0.0)
     # the long-context summary is parameter-free and survives zeroing
     assert x_long_bar.data.shape == (1, math.ceil(cfg.effective_ds_window() / cfg.ds_step))
+
+
+@pytest.mark.parametrize("cfg, nodes", [
+    (tiny_config(), 29),
+    (tiny_config(layers=1, j=3), 25),
+    (WindowConfig(i=24, m=48, j=2, hidden=32, layers=2, ds_step=8, ds_window=48), 65),  # benchmark model
+])
+def test_full_forward_tape_size(cfg, nodes):
+    # one node per encoder cell step, two per decoder step (cell and head) and
+    # 13 for the rest: the encoder's inputs are column views, not gathers
+    store = build_params(cfg, Ablation.FULL, seed_or_rng=0)
+    rng = np.random.default_rng(7)
+    tape = Tape()
+    forward_batch([random_window(cfg, rng) for _ in range(3)], store, cfg, Ablation.FULL, tape)
+    assert len(tape) == nodes == cfg.layers * cfg.i + 2 * cfg.j + 13
 
 
 def test_no_period_output_equals_raw_decode_of_full():

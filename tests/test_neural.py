@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import attention, attention_weights, fd_array_grad, fd_param_grad, max_rel_err
+from helpers import attention, attention_weights, fd_array_grad, fd_param_grad, logistic, max_rel_err
 from periocast.errors import ShapeMismatch, TapeConsumed, WindowTooLarge
 from periocast.neural import (
     ParamStore,
@@ -14,6 +14,7 @@ from periocast.neural import (
     autoencoder,
     concat_cols,
     downsample_indices,
+    gates,
     linear,
     pair_attention,
     recurrent_cell_step,
@@ -439,6 +440,34 @@ def test_cell_zero_params_give_zero_state():
     h2, c2 = recurrent_cell_step(Tape(recording=False), x, h, c, wx, wh, b)
     assert np.all(h2.data == 0.0)
     assert np.all(c2.data == 0.0)
+
+
+def test_gates_match_exp_logistic_and_tanh():
+    # one quarter per gate, each holding the same z; from -1000 to 1000 the
+    # tanh identity must neither overflow nor leave the exp/where formula
+    zs = np.concatenate([np.linspace(-1000.0, 1000.0, 200_001),
+                         np.geomspace(1e-300, 50.0, 2_000), -np.geomspace(1e-300, 50.0, 2_000)])
+    hidden = zs.size
+    z = np.tile(zs, 4)[None, :]
+    with np.errstate(all="raise"):
+        s = gates(z)
+    assert s.shape == z.shape
+    ref = logistic(zs)
+    for quarter in (0, 1, 3):  # input, forget, output
+        np.testing.assert_allclose(s[0, quarter * hidden: (quarter + 1) * hidden], ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(s[0, 2 * hidden: 3 * hidden], np.tanh(zs), rtol=0, atol=1e-15)
+    assert np.all((s >= -1.0) & (s <= 1.0))
+    assert np.all(s[0, :2 * hidden] >= 0.0) and np.all(s[0, 3 * hidden:] >= 0.0)
+    # several rows and hidden sizes: the constant rows are built per size
+    rng = np.random.default_rng(0)
+    for hidden in (1, 3, 1, 80):
+        z = rng.normal(scale=6.0, size=(5, 4 * hidden))
+        s = gates(z)
+        for quarter in (0, 1, 3):
+            cols = slice(quarter * hidden, (quarter + 1) * hidden)
+            np.testing.assert_allclose(s[:, cols], logistic(z[:, cols]), rtol=0, atol=1e-15)
+        cols = slice(2 * hidden, 3 * hidden)
+        np.testing.assert_allclose(s[:, cols], np.tanh(z[:, cols]), rtol=0, atol=1e-15)
 
 
 def test_cell_scalar_hand_example():
