@@ -1,7 +1,7 @@
 """Periodicity-aware workload forecasting for cluster traces."""
 
 from .loss import LossConfig
-from .model import Ablation, Forecast, SampleWindow, WindowConfig, WindowSplit, make_windows
+from .model import Ablation, Forecast, SampleWindow, WindowConfig, WindowSet, WindowSplit, make_windows
 from .periodicity import (
     PeriodicityConfig,
     PeriodicityReport,
@@ -30,7 +30,7 @@ __all__ = [
     "Ablation", "CsvSchema", "EvalReport", "Forecast", "LossConfig",
     "PeriodKnowledge", "PeriodicityConfig", "PeriodicityReport", "RawTrace",
     "SCHEMAS", "SampleWindow", "SyntheticSpec", "TrainConfig", "TrainLog",
-    "WindowConfig", "WindowSplit", "WorkloadSeries", "acf", "build_knowledge",
+    "WindowConfig", "WindowSet", "WindowSplit", "WorkloadSeries", "acf", "build_knowledge",
     "detect_period", "evaluate", "fit_threshold_gmm", "generate", "heavy_mask",
     "load_csv", "make_windows", "metrics", "normalize", "run_ablation_suite",
     "save_csv", "train",

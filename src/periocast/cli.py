@@ -30,7 +30,7 @@ from .errors import (
     TraceIOError,
     ZeroVariance,
 )
-from .model import Ablation, WindowConfig, make_windows, merge_splits
+from .model import Ablation, WindowConfig, WindowSet, build_params, make_windows, merge_splits
 from .periodicity import (
     PeriodicityConfig,
     build_knowledge,
@@ -75,9 +75,10 @@ def _build_windows(series_list, cfg: RunConfig, wcfg: WindowConfig,
     splits = []
     reports = {}
     for series in series_list:
+        head = _train_slice(series, split)
         try:
-            report = detect_period(_train_slice(series, split), pcfg)
-            knowledge = build_knowledge(_train_slice(series, split), report)
+            report = detect_period(head, pcfg)
+            knowledge = build_knowledge(head, report)
         except (ZeroVariance, SeriesTooShort) as exc:
             print(f"warning: {series.machine_id}: {exc}; treating as aperiodic", file=sys.stderr)
             report, knowledge = None, None
@@ -91,9 +92,9 @@ def _build_windows(series_list, cfg: RunConfig, wcfg: WindowConfig,
     return merge_splits(splits), reports
 
 
-def _pick_split(split_set, name: str):
+def _pick_split(split_set, name: str) -> WindowSet:
     if name == "all":
-        return split_set.train + split_set.val + split_set.test
+        return WindowSet.concat(split_set)
     windows = getattr(split_set, name)
     if not windows:
         raise ConfigError(f"the {name!r} split is empty for this data")
@@ -234,6 +235,7 @@ def cmd_train(args) -> int:
 def _load_model(cfg: RunConfig, checkpoint_path: str):
     store, meta, checksum = ckpt.load_checkpoint(checkpoint_path)
     wcfg, stored, ablation = _checkpoint_settings(meta, checkpoint_path)
+    _check_slots(store, build_params(wcfg, ablation, None), checkpoint_path)
     for key, value in (("model.i", wcfg.i), ("model.m", wcfg.m), ("model.j", wcfg.j),
                        ("model.hidden", wcfg.hidden), ("model.layers", wcfg.layers),
                        ("model.ds_step", wcfg.ds_step), ("model.ds_window", wcfg.ds_window)):
@@ -243,6 +245,18 @@ def _load_model(cfg: RunConfig, checkpoint_path: str):
     # The stored period/split settings win so windows are cut the same way.
     cfg.values.update(stored)
     return store, meta, checksum, wcfg, ablation
+
+
+def _check_slots(store, expected, path) -> None:
+    """Raise CheckpointError unless `store` has exactly the slot names and
+    shapes of `expected`, the model that the checkpoint's meta describes."""
+    got = {name: store[name].data.shape for name in store.names()}
+    want = {name: expected[name].data.shape for name in expected.names()}
+    wrong = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    if wrong:
+        name = wrong[0]
+        raise CheckpointError(f"{path}: tensors do not fit the model in the meta: {name} is "
+                              f"{got.get(name, 'absent')} in the file, {want.get(name, 'absent')} in the model")
 
 
 _META_PERIOD_KEYS = ("threshold", "k_min", "k_max", "distance", "dtw_band")
@@ -269,7 +283,10 @@ def _checkpoint_settings(meta, path) -> tuple[WindowConfig, dict, Ablation]:
     return wcfg, stored, ablation
 
 
-def cmd_predict(args) -> int:
+def _served_windows(args):
+    """Setup shared by `predict` and `evaluate`: the checkpoint's model, the
+    output directory and the windows of the requested split, cut with the
+    checkpoint's period and split settings."""
     cfg = RunConfig.resolve(args.config, args.overrides)
     store, _, _, wcfg, ablation = _load_model(cfg, args.checkpoint)
     pcfg = cfg.periodicity_config()
@@ -280,8 +297,11 @@ def cmd_predict(args) -> int:
         split_set, _ = _build_windows(series_list, cfg, wcfg, pcfg, cfg["train.split"])
     except EmptyTrainSet as exc:
         raise ConfigError(f"model.m+model.j: {exc}") from exc
-    windows = _pick_split(split_set, args.split)
+    return cfg, store, wcfg, ablation, out, _pick_split(split_set, args.split)
 
+
+def cmd_predict(args) -> int:
+    cfg, store, wcfg, ablation, out, windows = _served_windows(args)
     pred, _, _, wts, yhat = _predict_all(windows, store, wcfg, ablation)
 
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
@@ -290,9 +310,9 @@ def cmd_predict(args) -> int:
         if args.explain:
             header += ["y_hat", "weight_decoded", "weight_period"]
         writer.writerow(header)
-        for idx, w in enumerate(windows):
+        for idx, (machine_id, start) in enumerate(zip(windows.machine_id.tolist(), windows.start.tolist())):
             for step in range(wcfg.j):
-                row = [w.machine_id, w.start, step, repr(float(pred[idx, step]))]
+                row = [machine_id, start, step, repr(float(pred[idx, step]))]
                 if args.explain:
                     w0 = wts[idx, 0] if wts is not None else 1.0
                     w1 = wts[idx, 1] if wts is not None else 0.0
@@ -305,17 +325,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = RunConfig.resolve(args.config, args.overrides)
-    store, _, _, wcfg, ablation = _load_model(cfg, args.checkpoint)
-    pcfg = cfg.periodicity_config()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    series_list = _load_series(cfg, args.data)
-    try:
-        split_set, _ = _build_windows(series_list, cfg, wcfg, pcfg, cfg["train.split"])
-    except EmptyTrainSet as exc:
-        raise ConfigError(f"model.m+model.j: {exc}") from exc
-    windows = _pick_split(split_set, args.split)
+    cfg, store, wcfg, ablation, out, windows = _served_windows(args)
     report = evaluate(store, windows, wcfg, ablation)
     report.write_csv(out / "eval.csv")
     cfg.write(out / "config.json", {"command": "evaluate", "data": str(args.data),

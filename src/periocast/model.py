@@ -24,7 +24,7 @@ discount it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -131,11 +131,59 @@ class SampleWindow:
     heavy: np.ndarray
 
 
+_FIELDS = tuple(f.name for f in fields(SampleWindow))
+
+
+@dataclass(frozen=True, eq=False)
+class WindowSet:
+    """Windows stacked field by field: row k of every array is window k.
+
+    Fields are those of `SampleWindow`, with a leading row axis:
+    `machine_id` and `start` are (n,), `x_long` is (n, m), `x_short` is
+    (n, i), and `y_period`, `target` and `heavy` are (n, j).  An integer
+    index returns that window as a `SampleWindow` of row views; a slice or
+    an index array returns a `WindowSet`.
+    """
+
+    machine_id: np.ndarray
+    start: np.ndarray
+    x_long: np.ndarray
+    x_short: np.ndarray
+    y_period: np.ndarray
+    target: np.ndarray
+    heavy: np.ndarray
+
+    @classmethod
+    def of(cls, windows) -> "WindowSet":
+        """`windows` itself if it is a `WindowSet`, else the fields of its
+        `SampleWindow`s, a sequence, stacked."""
+        if isinstance(windows, WindowSet):
+            return windows
+        return cls(*(np.array([getattr(w, name) for w in windows]) for name in _FIELDS))
+
+    @classmethod
+    def concat(cls, sets) -> "WindowSet":
+        """The windows of every set in `sets`, in order."""
+        return cls(*(np.concatenate([getattr(s, name) for s in sets]) for name in _FIELDS))
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return SampleWindow(str(self.machine_id[key]), int(self.start[key]),
+                                *(getattr(self, name)[key] for name in _FIELDS[2:]))
+        return WindowSet(*(getattr(self, name)[key] for name in _FIELDS))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
 @dataclass(frozen=True)
 class WindowSplit:
-    train: list[SampleWindow]
-    val: list[SampleWindow]
-    test: list[SampleWindow]
+    train: WindowSet
+    val: WindowSet
+    test: WindowSet
 
     def __iter__(self):
         return iter((self.train, self.val, self.test))
@@ -146,10 +194,10 @@ def make_windows(series: WorkloadSeries, knowledge: PeriodKnowledge | None,
                  split=(0.7, 0.1, 0.2)) -> WindowSplit:
     """Cut stride-1 windows and split them chronologically.
 
-    Every window is a view into the series, and one `match` call finds the
-    period continuation of all of them.  A series of length m + j yields
+    Every field is a view into the series, and one `match` call finds the
+    period continuation of all windows.  A series of length m + j yields
     exactly one window.  The heavy flags are computed once from the
-    machine's full series.  The split fractions apply to the window list in
+    machine's full series.  The split fractions apply to the windows in
     time order, so every training window starts before every validation
     window, which starts before every test window.
     """
@@ -161,11 +209,15 @@ def make_windows(series: WorkloadSeries, knowledge: PeriodKnowledge | None,
         raise SeriesTooShort(f"series length {len(v)} < m + j = {m + j}")
     x_long = sliding_window_view(v, m)[:n_windows]
     x_short = x_long[:, m - cfg.i:]
-    target = sliding_window_view(v[m:], j)
-    heavy = sliding_window_view(heavy_mask(series).mask[m:], j)
-    y_period = match(knowledge, x_short, j, pcfg).y_period
-    windows = [SampleWindow(series.machine_id, s, x_long[s], x_short[s], y_period[s], target[s], heavy[s])
-               for s in range(n_windows)]
+    windows = WindowSet(
+        machine_id=np.full(n_windows, series.machine_id),
+        start=np.arange(n_windows),
+        x_long=x_long,
+        x_short=x_short,
+        y_period=match(knowledge, x_short, j, pcfg).y_period,
+        target=sliding_window_view(v[m:], j),
+        heavy=sliding_window_view(heavy_mask(series).mask[m:], j),
+    )
     n_train = int(split[0] * n_windows)
     n_val = int(split[1] * n_windows)
     return WindowSplit(
@@ -177,16 +229,13 @@ def make_windows(series: WorkloadSeries, knowledge: PeriodKnowledge | None,
 
 def merge_splits(splits: list[WindowSplit]) -> WindowSplit:
     """Concatenate per-machine splits (machine order preserved)."""
-    return WindowSplit(
-        train=[w for s in splits for w in s.train],
-        val=[w for s in splits for w in s.val],
-        test=[w for s in splits for w in s.test],
-    )
+    return WindowSplit(*(WindowSet.concat(part) for part in zip(*splits)))
 
 
 def build_params(cfg: WindowConfig, ablation: Ablation, seed_or_rng) -> ParamStore:
-    """Allocate and initialise every learnable tensor for one model."""
-    rng = seed_or_rng if isinstance(seed_or_rng, Prng) else Prng(seed_or_rng)
+    """Allocate and initialise every learnable tensor for one model.  With
+    `seed_or_rng=None` every slot is zero: the model's layout alone."""
+    rng = seed_or_rng if seed_or_rng is None or isinstance(seed_or_rng, Prng) else Prng(seed_or_rng)
     store = ParamStore()
     h = cfg.hidden
     for layer in range(cfg.layers):
@@ -312,25 +361,18 @@ class BatchForward:
         ]
 
 
-def stack_windows(windows: list[SampleWindow]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack fields of a window list into (batch, ...) arrays."""
-    x_short = np.stack([w.x_short for w in windows])
-    x_long = np.stack([w.x_long for w in windows])
-    y_period = np.stack([w.y_period for w in windows])
-    target = np.stack([w.target for w in windows])
-    return x_short, x_long, y_period, target
-
-
-def forward_batch(windows: list[SampleWindow], store: ParamStore, cfg: WindowConfig,
+def forward_batch(windows: WindowSet | list[SampleWindow], store: ParamStore, cfg: WindowConfig,
                   ablation: Ablation = Ablation.FULL, tape: Tape | None = None) -> BatchForward:
     tape = tape if tape is not None else Tape()
-    x_short_arr, x_long_arr, y_period_arr, _ = stack_windows(windows)
-    x_short = Tensor(x_short_arr)
-    x_long = Tensor(x_long_arr)
+    windows = WindowSet.of(windows)
+    # Contiguous rows, as the recurrent matmuls have always been fed: a
+    # strided view may take another BLAS path and change the last bit.
+    x_short = Tensor(np.ascontiguousarray(windows.x_short))
+    x_long = Tensor(windows.x_long)
     enc_last, x_long_bar = encode(tape, store, cfg, x_short, x_long)
     y_hat = decode(tape, store, cfg, enc_last, x_long_bar, x_short)
     if ablation.fuses:
-        y, weights = fuse(tape, store, cfg, x_short, y_hat, Tensor(y_period_arr))
+        y, weights = fuse(tape, store, cfg, x_short, y_hat, Tensor(windows.y_period))
     else:
         y, weights = y_hat, None
     return BatchForward(tape, y, y_hat.data.copy(), weights)

@@ -15,6 +15,7 @@ from .model import (
     Ablation,
     SampleWindow,
     WindowConfig,
+    WindowSet,
     WindowSplit,
     build_params,
     forward_batch,
@@ -113,21 +114,18 @@ class TrainLog:
                                  f"{wt:.3f}"])
 
 
-def _predict_all(windows: list[SampleWindow], store: ParamStore, cfg: WindowConfig,
+def _predict_all(windows: WindowSet, store: ParamStore, cfg: WindowConfig,
                  ablation: Ablation, batch_size: int = 256):
     """Forward every window without recording.  Returns stacked arrays:
     (forecast, truth, heavy mask, fusion weights or None, decoded sequence)."""
-    preds, truths, heavies, weights, y_hats = [], [], [], [], []
+    preds, weights, y_hats = [], [], []
     for lo in range(0, len(windows), batch_size):
-        chunk = windows[lo: lo + batch_size]
-        bf = forward_batch(chunk, store, cfg, ablation, Tape(recording=False))
+        bf = forward_batch(windows[lo: lo + batch_size], store, cfg, ablation, Tape(recording=False))
         preds.append(bf.y.data)
-        truths.append(np.stack([w.target for w in chunk]))
-        heavies.append(np.stack([w.heavy for w in chunk]))
         y_hats.append(bf.y_hat)
         if bf.fusion_weights is not None:
             weights.append(bf.fusion_weights)
-    return (np.concatenate(preds), np.concatenate(truths), np.concatenate(heavies),
+    return (np.concatenate(preds), windows.target, windows.heavy,
             np.concatenate(weights) if weights else None, np.concatenate(y_hats))
 
 
@@ -141,8 +139,8 @@ def _val_scores(windows, store, cfg, ablation):
     return overall, heavy_mse
 
 
-def train(train_windows: list[SampleWindow], cfg: WindowConfig, tcfg: TrainConfig,
-          val_windows: list[SampleWindow] | None = None) -> tuple[ParamStore, TrainLog]:
+def train(train_windows: WindowSet | list[SampleWindow], cfg: WindowConfig, tcfg: TrainConfig,
+          val_windows: WindowSet | list[SampleWindow] | None = None) -> tuple[ParamStore, TrainLog]:
     """Mini-batch training with seeded shuffling.
 
     Batches are reshuffled every epoch from the run seed.  When a validation
@@ -150,8 +148,11 @@ def train(train_windows: list[SampleWindow], cfg: WindowConfig, tcfg: TrainConfi
     and training stops after `patience` epochs without improvement;
     otherwise the final parameters are returned.
     """
+    train_windows = WindowSet.of(train_windows)
     if not train_windows:
         raise EmptyTrainSet("no training windows")
+    if val_windows is not None:
+        val_windows = WindowSet.of(val_windows)
     rng = Prng(tcfg.seed)
     store = build_params(cfg, tcfg.ablation, rng)
     if tcfg.optimizer == "adam":
@@ -170,13 +171,12 @@ def train(train_windows: list[SampleWindow], cfg: WindowConfig, tcfg: TrainConfi
         rng.shuffle(order)
         epoch_losses = []
         for lo in range(0, len(order), tcfg.batch_size):
-            batch = [train_windows[k] for k in order[lo: lo + tcfg.batch_size]]
+            batch = train_windows[order[lo: lo + tcfg.batch_size]]
             store.zero_grad()
             bf = forward_batch(batch, store, cfg, tcfg.ablation)
             if not np.all(np.isfinite(bf.y.data)):
                 raise NonFiniteLoss(f"non-finite forecast at epoch {epoch}")
-            target = np.stack([w.target for w in batch])
-            value, grad, _ = batch_loss(bf.y.data, target, loss_cfg)
+            value, grad, _ = batch_loss(bf.y.data, batch.target, loss_cfg)
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch} (value={value!r})")
             bf.y.grad = grad
@@ -240,14 +240,15 @@ class EvalReport:
             _rows("ALL", self.aggregate)
 
 
-def evaluate(store: ParamStore, windows: list[SampleWindow], cfg: WindowConfig,
+def evaluate(store: ParamStore, windows: WindowSet | list[SampleWindow], cfg: WindowConfig,
              ablation: Ablation = Ablation.FULL, batch_size: int = 256) -> EvalReport:
-    """Per-machine and pooled error metrics over a window list.
+    """Per-machine and pooled error metrics over a set of windows.
 
     Points are pooled, so the aggregate equals a metric recomputation over
     the union of points (machines with more windows weigh more).  A machine
     (or the whole set) without heavy target points reports heavy = None.
     """
+    windows = WindowSet.of(windows)
     if not windows:
         raise EmptySelection("no windows to evaluate")
     pred, truth, heavy, weights, _ = _predict_all(windows, store, cfg, ablation, batch_size)
@@ -260,9 +261,8 @@ def evaluate(store: ParamStore, windows: list[SampleWindow], cfg: WindowConfig,
             heavy_m = None
         return MachineReport(overall, heavy_m)
 
-    machines = sorted({w.machine_id for w in windows})
-    ids = np.array([w.machine_id for w in windows])
-    per_machine = {mid: _report(ids == mid) for mid in machines}
+    ids = windows.machine_id
+    per_machine = {str(mid): _report(ids == mid) for mid in np.unique(ids)}
     aggregate = _report(np.ones(len(windows), dtype=bool))
     mean_w = None if weights is None else float(weights[:, 0].mean())
     return EvalReport(per_machine, aggregate, mean_w)

@@ -1,9 +1,14 @@
 """The benchmark's tracer (periobench/tracer.py) wraps periocast functions at
 the place each one is looked up when called.  These tests keep those places
 in step with the library: a hook whose name moved would make a traced
-benchmark run fail with a KeyError."""
+benchmark run fail with a KeyError.  The last test keeps the rest of the
+API the benchmark drives in step: its cold-start script, and the window
+lists it hands to `evaluate`."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +21,14 @@ import periocast.neural
 import periocast.periodicity
 import periocast.traceio
 import periocast.training
-from periocast.model import WindowConfig, make_windows
+from periocast.checkpoint import load_checkpoint, save_checkpoint
+from periocast.model import WindowConfig, forward, make_windows
 from periocast.periodicity import PeriodicityConfig, build_knowledge, detect_period
 from periocast.traceio import SyntheticSpec, generate
+from periocast.training import TrainConfig, evaluate, train
 
-TRACER = Path(__file__).resolve().parent.parent / "periobench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "periobench"
+TRACER = BENCH / "tracer.py"
 
 
 def _tracer_module():
@@ -53,3 +61,30 @@ def test_make_windows_matches_once_per_machine():
     assert tracer.counts["periodicity.dtw_calls"] == 1
     assert periocast.model.match is periocast.periodicity.match
     assert np.all(np.concatenate([w.y_period for w in split.train]) != -1.0)
+
+
+def test_benchmark_serving_path_matches_the_library(tmp_path):
+    cfg = WindowConfig(i=6, m=12, j=2, hidden=3, layers=1, ds_step=4, ds_window=8)
+    pcfg = PeriodicityConfig()
+    series = generate(SyntheticSpec(length=120, period=12, amplitude=0.3, noise_std=0.02, seed=5))
+    split = make_windows(series, build_knowledge(series, detect_period(series, pcfg)), cfg, pcfg)
+    store, _ = train(split.train, cfg, TrainConfig(epochs=1, batch_size=16, seed=0))
+    ckpt = tmp_path / "served.ckpt"
+    save_checkpoint(ckpt, store, {"model": cfg.to_meta(), "ablation": "full"})
+    served, _, _ = load_checkpoint(ckpt)
+
+    window = split.test[0]
+    rows = np.zeros((2, cfg.m))
+    rows[0], rows[1, : cfg.j] = window.x_long, window.y_period
+    npy = tmp_path / "window.npy"
+    np.save(npy, rows)
+    proc = subprocess.run([sys.executable, str(BENCH / "coldstart.py"), str(ckpt), str(npy)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    answer = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert answer["y"] == forward(window, served, cfg).y.tolist()
+
+    from_list = evaluate(served, list(split.test), cfg)
+    from_set = evaluate(served, split.test, cfg)
+    assert from_list.aggregate == from_set.aggregate
+    assert from_list.per_machine == from_set.per_machine

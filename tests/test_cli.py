@@ -298,6 +298,13 @@ def test_malformed_checkpoint_exits_2(tmp_path, data_csv, capsys):
     pytest.param(lambda meta: {**meta, "model": {**meta["model"], "hidden": "wide"}}, "bad meta",
                  id="non-integer-hidden"),
     pytest.param(lambda meta: [meta], "lacks model", id="meta-not-an-object"),
+    # meta that no longer describes the stored tensors (trained with layers=1, hidden=3)
+    pytest.param(lambda meta: {**meta, "model": {**meta["model"], "layers": 2}}, "do not fit",
+                 id="more-layers-than-stored"),
+    pytest.param(lambda meta: {**meta, "model": {**meta["model"], "hidden": 5}}, "do not fit",
+                 id="wider-hidden-than-stored"),
+    pytest.param(lambda meta: {**meta, "ablation": "no_period"}, "do not fit",
+                 id="stored-fuse-slots-unused"),
 ])
 def test_checkpoint_meta_checked_exits_2(tmp_path, data_csv, capsys, command, edit, message):
     _, ckpt_path = _train(tmp_path, data_csv)

@@ -8,7 +8,9 @@ from periocast.errors import SeriesTooShort
 from periocast.loss import LossConfig, batch_loss
 from periocast.model import (
     Ablation,
+    SampleWindow,
     WindowConfig,
+    WindowSet,
     build_params,
     decode,
     encode,
@@ -17,7 +19,6 @@ from periocast.model import (
     fuse,
     make_windows,
     merge_splits,
-    stack_windows,
 )
 from periocast.neural import Tape, Tensor
 from periocast.periodicity import (
@@ -139,6 +140,49 @@ def test_merge_splits_preserves_order():
     merged = merge_splits([a, b])
     assert [w.machine_id for w in merged.train] == (
         ["a"] * len(a.train) + ["b"] * len(b.train))
+    for part, part_a, part_b in zip(merged, a, b):
+        assert part.machine_id.tolist() == ["a"] * len(part_a) + ["b"] * len(part_b)
+        assert np.array_equal(part.x_long, np.concatenate([part_a.x_long, part_b.x_long]))
+        assert np.array_equal(part.start, np.concatenate([part_a.start, part_b.start]))
+
+
+def test_make_windows_returns_views_of_the_series():
+    cfg = tiny_config()
+    s = _series(np.random.default_rng(9).uniform(size=40))
+    for part in make_windows(s, None, cfg, PCFG):
+        assert isinstance(part, WindowSet)
+        for field in (part.x_long, part.x_short, part.target):
+            assert np.shares_memory(field, s.values)
+
+
+def test_window_set_indexing():
+    cfg = tiny_config()
+    s = _series(np.random.default_rng(10).uniform(size=40), "m7")
+    ws = make_windows(s, None, cfg, PCFG, split=(1.0, 0.0, 0.0)).train
+    w = ws[3]
+    assert isinstance(w, SampleWindow)
+    assert type(w.machine_id) is str and w.machine_id == "m7"
+    assert type(w.start) is int and w.start == 3
+    assert np.array_equal(w.x_long, s.values[3: 3 + cfg.m])
+    assert isinstance(ws[np.int64(3)], SampleWindow)
+    for key in (slice(2, 5), np.array([4, 0, 2]), [4, 0, 2]):
+        sub = ws[key]
+        assert isinstance(sub, WindowSet)
+        assert sub.start.tolist() == np.arange(len(ws))[key].tolist()
+        assert sub.x_short.shape == (len(sub), cfg.i)
+    assert [w.start for w in ws] == list(range(len(ws)))
+
+
+def test_window_set_from_list_round_trips():
+    cfg = tiny_config()
+    s = _series(np.random.default_rng(11).uniform(size=40))
+    ws = make_windows(s, None, cfg, PCFG, split=(1.0, 0.0, 0.0)).train
+    back = WindowSet.of(list(ws))
+    assert WindowSet.of(ws) is ws
+    assert len(back) == len(ws)
+    for name in ("machine_id", "start", "x_long", "x_short", "y_period", "target", "heavy"):
+        assert np.array_equal(getattr(back, name), getattr(ws, name)), name
+        assert getattr(back, name).dtype == getattr(ws, name).dtype, name
 
 
 # --- configuration ---------------------------------------------------------------
@@ -260,15 +304,14 @@ def test_forecasts_detach_copies():
     assert not np.any(bf.y.data == 99.0)
 
 
-def test_stack_windows_shapes():
+def test_window_set_of_list_shapes():
     cfg = tiny_config()
     rng = np.random.default_rng(5)
-    windows = [random_window(cfg, rng) for _ in range(3)]
-    xs, xl, yp, tg = stack_windows(windows)
-    assert xs.shape == (3, cfg.i)
-    assert xl.shape == (3, cfg.m)
-    assert yp.shape == (3, cfg.j)
-    assert tg.shape == (3, cfg.j)
+    ws = WindowSet.of([random_window(cfg, rng) for _ in range(3)])
+    assert ws.x_short.shape == (3, cfg.i)
+    assert ws.x_long.shape == (3, cfg.m)
+    assert ws.y_period.shape == (3, cfg.j)
+    assert ws.target.shape == (3, cfg.j)
 
 
 def test_sentinel_continuation_flows_through_fuse():
@@ -407,8 +450,7 @@ def test_forward_matches_scalar_reimplementation():
 def _composed_loss(windows, store, cfg, ablation, lcfg, tape=None):
     bf = forward_batch(windows, store, cfg, ablation,
                        tape if tape is not None else Tape(recording=False))
-    _, _, _, target = stack_windows(windows)
-    value, grad, _ = batch_loss(bf.y.data, target, lcfg)
+    value, grad, _ = batch_loss(bf.y.data, WindowSet.of(windows).target, lcfg)
     return bf, value, grad
 
 

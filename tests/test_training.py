@@ -156,6 +156,16 @@ def test_training_is_deterministic():
     assert log_a.val_mse == log_b.val_mse
 
 
+def test_window_set_and_window_list_train_alike():
+    cfg, split = _dataset(seed=5, length=80, periodic=True)
+    tcfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=4)
+    store_a, log_a = train(split.train, cfg, tcfg, split.val)
+    store_b, log_b = train(list(split.train), cfg, tcfg, list(split.val))
+    assert np.array_equal(store_a.get_flat(), store_b.get_flat())
+    assert log_a.train_loss == log_b.train_loss
+    assert log_a.val_mse == log_b.val_mse
+
+
 def test_seed_changes_trajectory():
     cfg, split = _dataset(seed=3)
     a, _ = train(split.train, cfg, TrainConfig(epochs=1, batch_size=8,
