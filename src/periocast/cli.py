@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -102,21 +103,26 @@ def _pick_split(split_set, name: str) -> WindowSet:
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    traces = []
-    for k in range(args.machines):
-        spec = SyntheticSpec(
+    if args.machines < 1:
+        raise ConfigError(f"--machines must be >= 1, got {args.machines}")
+    try:
+        recipe = SyntheticSpec(
             length=args.length,
-            period=args.period if args.period > 0 else None,
+            period=args.period if args.period != 0 else None,
             amplitude=args.amplitude,
             noise_std=args.noise_std,
             burst_rate=args.burst_rate,
             burst_height=args.burst_height,
             trend_slope=args.trend_slope,
-            seed=args.seed + k,
+            seed=args.seed,
         )
-        series = generate(spec)
+    except ValueError as exc:
+        raise ConfigError(f"generate: {exc}") from exc
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    traces = []
+    for k in range(args.machines):
+        series = generate(dataclasses.replace(recipe, seed=args.seed + k))
         traces.append(RawTrace(f"synth-{k:03d}", np.arange(args.length, dtype=np.int64),
                                series.values))
     save_csv(traces, out, SCHEMAS["generic"])

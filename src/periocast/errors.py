@@ -69,10 +69,6 @@ class ShapeMismatch(NumericError):
     pass
 
 
-class WindowTooLarge(NumericError):
-    pass
-
-
 class BadLength(NumericError):
     pass
 

@@ -36,12 +36,10 @@ from .neural import (
     Tensor,
     add,
     concat_cols,
-    downsample_indices,
     linear,
     pair_attention,
     recurrent_cell_step,
     scalar_attention,
-    select_cols,
     autoencoder,
     add_autoencoder_slots,
 )
@@ -262,14 +260,14 @@ def _zeros(batch: int, cols: int) -> Tensor:
 
 
 def encode(tape: Tape, store: ParamStore, cfg: WindowConfig,
-           x_short: Tensor, x_long: Tensor) -> tuple[Tensor, Tensor]:
+           x_short: Tensor, x_long: Tensor) -> tuple[Tensor, np.ndarray]:
     """Run the stacked encoder and summarise the long context.
 
     `x_short` is (batch, i), `x_long` is (batch, m).  Returns the top layer's
     final hidden state (batch, hidden) and the self-attended downsampled long
     context (batch, ceil(ds_window / ds_step)).  Each tick enters as a column
-    view of `x_short`, not a tape node, so no gradient reaches `x_short`
-    through the encoder.
+    view of `x_short`.  The summary has no parameters, so it is plain numpy,
+    off the tape.
     """
     if x_short.cols != cfg.i or x_long.cols != cfg.m:
         raise ShapeMismatch("encode: window widths do not match the config")
@@ -282,29 +280,29 @@ def encode(tape: Tape, store: ParamStore, cfg: WindowConfig,
         for layer, (wx, wh, b) in enumerate(weights):
             h[layer], c[layer] = recurrent_cell_step(tape, inp, h[layer], c[layer], wx, wh, b)
             inp = h[layer]
-    idx = downsample_indices(cfg.m, cfg.ds_step, cfg.effective_ds_window())
-    ds = select_cols(tape, x_long, idx)
-    x_long_bar = scalar_attention(tape, ds, ds)
-    return h[-1], x_long_bar
+    ds = x_long.data[:, cfg.m - cfg.effective_ds_window():: cfg.ds_step]
+    return h[-1], scalar_attention(ds, ds)
 
 
 def decode(tape: Tape, store: ParamStore, cfg: WindowConfig,
-           enc_last: Tensor, x_long_bar: Tensor, x_short: Tensor,
+           enc_last: Tensor, x_long_bar: np.ndarray, x_short: Tensor,
            j: int | None = None) -> Tensor:
     """Autoregressive decoding of the next `j` values.
 
     Cross-attention (recent ticks as queries, long-context summary as
-    keys/values) is computed once per window; its rows, concatenated, are
-    projected into the decoder's initial state, and the encoder's final
-    hidden state `enc_last` is added to the hidden part.  The first decoder
-    input is the last recent value; each later input is the previous
-    prediction.
+    keys/values) is computed once per window, off the tape; its rows,
+    concatenated, are projected into the decoder's initial state, and the
+    encoder's final hidden state `enc_last` is added to the hidden part.
+    The first decoder input is the last recent value; each later input is
+    the previous prediction.
     """
     j = cfg.j if j is None else j
-    h_cross = scalar_attention(tape, x_short, x_long_bar)      # (batch, i)
+    h_cross = Tensor(scalar_attention(x_short.data, x_long_bar))      # (batch, i)
     h0 = add(tape, linear(tape, h_cross, store["dec.init.wh"]), enc_last)
     c0 = linear(tape, h_cross, store["dec.init.wc"])
-    y_prev = select_cols(tape, x_short, [cfg.i - 1])
+    # A contiguous copy of the last column: as a strided view it takes
+    # another BLAS path in the backward's x.T @ dz and changes the last bit.
+    y_prev = Tensor(x_short.data[:, cfg.i - 1:].copy())
     h, c = h0, c0
     outs = []
     for _ in range(j):

@@ -1,13 +1,16 @@
 """Minimal reverse-mode differentiation over 2-D float arrays.
 
-Everything the forecaster needs is built from a handful of primitives, each
-with an exact hand-written backward pass: affine maps, a gated recurrent
-cell, two batched attention blocks, column gathers and a
+Everything the forecaster learns through is built from a handful of
+primitives, each with an exact hand-written backward pass: affine maps, a
+gated recurrent cell, attention over two candidates and a
 one-unit-bottleneck autoencoder.
 
 Ops execute eagerly and append a closure to a `Tape`; `Tape.backward()` runs
 the closures in reverse order, accumulating into each tensor's `grad`
-buffer.  A tape is single-use.  Rows are the batch/time axis, columns are
+buffer.  A tensor receives a gradient only if it has a buffer: parameter
+slots have one, and every op gives its output a zero buffer while the tape
+records.  A tensor wrapped around data has none, so no gradient is computed
+for it.  A tape is single-use.  Rows are the batch/time axis, columns are
 features; data is row-major float64.
 """
 
@@ -17,12 +20,13 @@ import functools
 
 import numpy as np
 
-from .errors import ShapeMismatch, TapeConsumed, WindowTooLarge
+from .errors import ShapeMismatch, TapeConsumed
 from .rng import Prng
 
 
 class Tensor:
-    """A 2-D array with an optional gradient buffer of the same shape."""
+    """A 2-D array with an optional gradient buffer of the same shape; only a
+    tensor with a buffer receives a gradient."""
 
     __slots__ = ("data", "grad")
 
@@ -42,11 +46,6 @@ class Tensor:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
 
     def __repr__(self):
         return f"Tensor(rows={self.rows}, cols={self.cols})"
@@ -195,17 +194,16 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         y = y + b.data
     out = Tensor(y)
     if tape.recording:
+        out.grad = np.zeros_like(out.data)
+
         def _back():
             g = out.grad
-            if g is None:
-                return
-            w.ensure_grad()
-            w.grad += x.data.T @ g
-            if b is not None:
-                b.ensure_grad()
+            if w.grad is not None:
+                w.grad += x.data.T @ g
+            if b is not None and b.grad is not None:
                 b.grad += g.sum(axis=0, keepdims=True)
-            x.ensure_grad()
-            x.grad += g @ w.data.T
+            if x.grad is not None:
+                x.grad += g @ w.data.T
         tape.record(_back)
     return out
 
@@ -213,12 +211,11 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 def tanh(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(np.tanh(x.data))
     if tape.recording:
+        out.grad = np.zeros_like(out.data)
+
         def _back():
-            g = out.grad
-            if g is None:
-                return
-            x.ensure_grad()
-            x.grad += g * (1.0 - out.data * out.data)
+            if x.grad is not None:
+                x.grad += out.grad * (1.0 - out.data * out.data)
         tape.record(_back)
     return out
 
@@ -229,14 +226,14 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"add: ({a.rows},{a.cols}) vs ({b.rows},{b.cols})")
     out = Tensor(a.data + b.data)
     if tape.recording:
+        out.grad = np.zeros_like(out.data)
+
         def _back():
             g = out.grad
-            if g is None:
-                return
-            a.ensure_grad()
-            a.grad += g
-            b.ensure_grad()
-            b.grad += g if b.rows == a.rows else g.sum(axis=0, keepdims=True)
+            if a.grad is not None:
+                a.grad += g
+            if b.grad is not None:
+                b.grad += g if b.rows == a.rows else g.sum(axis=0, keepdims=True)
         tape.record(_back)
     return out
 
@@ -247,42 +244,16 @@ def concat_cols(tape: Tape, parts: list[Tensor]) -> Tensor:
         raise ShapeMismatch("concat_cols: row counts differ")
     out = Tensor(np.concatenate([p.data for p in parts], axis=1))
     if tape.recording:
+        out.grad = np.zeros_like(out.data)
+
         def _back():
-            g = out.grad
-            if g is None:
-                return
             pos = 0
             for p in parts:
-                p.ensure_grad()
-                p.grad += g[:, pos: pos + p.cols]
+                if p.grad is not None:
+                    p.grad += out.grad[:, pos: pos + p.cols]
                 pos += p.cols
         tape.record(_back)
     return out
-
-
-def select_cols(tape: Tape, x: Tensor, idx) -> Tensor:
-    """Pick columns by index (gather); backward scatters."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data[:, idx])
-    if tape.recording:
-        def _back():
-            g = out.grad
-            if g is None:
-                return
-            x.ensure_grad()
-            np.add.at(x.grad, (slice(None), idx), g)
-        tape.record(_back)
-    return out
-
-
-def downsample_indices(n_rows: int, step: int, window: int) -> np.ndarray:
-    """Indices of the trailing `window` rows thinned to every `step`-th."""
-    if step < 1 or window < 1:
-        raise ValueError("step and window must be >= 1")
-    if window > n_rows:
-        raise WindowTooLarge(f"window {window} exceeds {n_rows} rows")
-    start = n_rows - window
-    return np.arange(start, n_rows, step, dtype=np.int64)
 
 
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
@@ -291,33 +262,19 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def scalar_attention(tape: Tape, q: Tensor, kv: Tensor) -> Tensor:
-    """Batched attention over scalar features (key dim 1).
+def scalar_attention(q: np.ndarray, kv: np.ndarray) -> np.ndarray:
+    """Batched attention over scalar features (key dim 1), on plain arrays.
 
     Row b of `q` holds the query scalars of window b, row b of `kv` the
     key/value scalars.  Per window: S[i, j] = q[i] * kv[j], A = softmax_j(S),
     out[i] = sum_j A[i, j] * kv[j].  Equivalent to scaled dot-product
-    attention applied per window with column-vector inputs.
+    attention applied per window with column-vector inputs.  It has no
+    parameters and no backward: the model applies it to window data only.
     """
-    if q.rows != kv.rows:
-        raise ShapeMismatch(f"scalar_attention: {q.rows} vs {kv.rows} windows")
-    s = q.data[:, :, None] * kv.data[:, None, :]
-    a = _softmax_rows(s)
-    out = Tensor((a * kv.data[:, None, :]).sum(axis=2))
-    if tape.recording:
-        def _back():
-            g = out.grad
-            if g is None:
-                return
-            q.ensure_grad()
-            kv.ensure_grad()
-            kv.grad += (a * g[:, :, None]).sum(axis=1)          # value path
-            da = g[:, :, None] * kv.data[:, None, :]
-            ds = a * (da - (da * a).sum(axis=2, keepdims=True))
-            q.grad += (ds * kv.data[:, None, :]).sum(axis=2)
-            kv.grad += (ds * q.data[:, :, None]).sum(axis=1)
-        tape.record(_back)
-    return out
+    if q.shape[0] != kv.shape[0]:
+        raise ShapeMismatch(f"scalar_attention: {q.shape[0]} vs {kv.shape[0]} windows")
+    a = _softmax_rows(q[:, :, None] * kv[:, None, :])
+    return (a * kv[:, None, :]).sum(axis=2)
 
 
 def pair_attention(tape: Tape, q: Tensor, cand0: Tensor, cand1: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -340,22 +297,23 @@ def pair_attention(tape: Tape, q: Tensor, cand0: Tensor, cand1: Tensor) -> tuple
     w1 = e1 / (e0 + e1)
     out = Tensor(w0[:, None] * cand0.data + w1[:, None] * cand1.data)
     if tape.recording:
+        out.grad = np.zeros_like(out.data)
+
         def _back():
             g = out.grad
-            if g is None:
-                return
-            for t in (q, cand0, cand1):
-                t.ensure_grad()
-            cand0.grad += w0[:, None] * g
-            cand1.grad += w1[:, None] * g
             dw0 = (g * cand0.data).sum(axis=1)
             dw1 = (g * cand1.data).sum(axis=1)
             inner = dw0 * w0 + dw1 * w1
             ds0 = w0 * (dw0 - inner)
             ds1 = w1 * (dw1 - inner)
-            q.grad += scale * (ds0[:, None] * cand0.data + ds1[:, None] * cand1.data)
-            cand0.grad += scale * ds0[:, None] * q.data
-            cand1.grad += scale * ds1[:, None] * q.data
+            if cand0.grad is not None:
+                cand0.grad += w0[:, None] * g
+                cand0.grad += scale * ds0[:, None] * q.data
+            if cand1.grad is not None:
+                cand1.grad += w1[:, None] * g
+                cand1.grad += scale * ds1[:, None] * q.data
+            if q.grad is not None:
+                q.grad += scale * (ds0[:, None] * cand0.data + ds1[:, None] * cand1.data)
         tape.record(_back)
     return out, np.stack([w0, w1], axis=1)
 
@@ -411,15 +369,13 @@ def recurrent_cell_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
     h_out = Tensor(h_new)
     c_out = Tensor(c_new)
     if tape.recording:
+        h_out.grad = np.zeros_like(h_new)
+        c_out.grad = np.zeros_like(c_new)
+
         def _back():
             dh = h_out.grad
-            dc_out = c_out.grad
-            if dh is None and dc_out is None:
-                return
-            dh = dh if dh is not None else 0.0
-            dc = dc_out if dc_out is not None else np.zeros_like(c_new)
             do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
+            dc = c_out.grad + dh * o * (1.0 - tc * tc)
             di = dc * g
             df = dc * c.data
             dg = dc * i
@@ -429,18 +385,18 @@ def recurrent_cell_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
                 dg * (1.0 - g * g),
                 do * o * (1.0 - o),
             ], axis=1)
-            wx.ensure_grad()
-            wx.grad += x.data.T @ dz
-            wh.ensure_grad()
-            wh.grad += h.data.T @ dz
-            b.ensure_grad()
-            b.grad += dz.sum(axis=0, keepdims=True)
-            x.ensure_grad()
-            x.grad += dz @ wx.data.T
-            h.ensure_grad()
-            h.grad += dz @ wh.data.T
-            c.ensure_grad()
-            c.grad += dc * f
+            if wx.grad is not None:
+                wx.grad += x.data.T @ dz
+            if wh.grad is not None:
+                wh.grad += h.data.T @ dz
+            if b.grad is not None:
+                b.grad += dz.sum(axis=0, keepdims=True)
+            if x.grad is not None:
+                x.grad += dz @ wx.data.T
+            if h.grad is not None:
+                h.grad += dz @ wh.data.T
+            if c.grad is not None:
+                c.grad += dc * f
         tape.record(_back)
     return h_out, c_out
 

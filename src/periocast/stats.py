@@ -31,7 +31,11 @@ def acf(series: WorkloadSeries | np.ndarray, k_max: int) -> AcfProfile:
                  / sum_{t=0}^{n-1} (x_t - mean)^2
 
     A single series mean and a pooled denominator are used for every lag, so
-    rho[0] is exactly 1 and |rho[k]| <= 1 by Cauchy-Schwarz.
+    rho[0] is exactly 1 and |rho[k]| <= 1 by Cauchy-Schwarz.  Every lag's sum
+    comes from one real FFT (Wiener-Khinchin): zero-padded to at least
+    n + k_max points, the circular autocorrelation has no wrapped terms at
+    lags up to k_max.  That is O(n log n) against O(n * k_max) for a sum per
+    lag.
     """
     x = series.values if isinstance(series, WorkloadSeries) else np.asarray(series, dtype=np.float64)
     n = len(x)
@@ -47,10 +51,10 @@ def acf(series: WorkloadSeries | np.ndarray, k_max: int) -> AcfProfile:
     denom = float(np.dot(c, c))
     if denom == 0.0:
         raise ZeroVariance("series has zero variance")
-    rho = np.empty(k_max + 1, dtype=np.float64)
+    size = 1 << (n + k_max - 1).bit_length()
+    spec = np.fft.rfft(c, size)
+    rho = np.fft.irfft(spec.real * spec.real + spec.imag * spec.imag, size)[: k_max + 1] / denom
     rho[0] = 1.0
-    for k in range(1, k_max + 1):
-        rho[k] = float(np.dot(c[k:], c[:-k])) / denom
     return AcfProfile(rho, k_max, n)
 
 

@@ -102,16 +102,8 @@ SCHEMAS: dict[str, CsvSchema] = {
 }
 
 
-def load_csv(path: str | Path, schema: CsvSchema, allow_gaps: bool = False) -> list[RawTrace]:
-    """Read a trace CSV into one RawTrace per machine, in first-seen order.
-
-    Timestamps within a machine must form a uniform grid: after sorting, every
-    step must equal the smallest step.  A larger gap raises
-    NonMonotonicTimestamps unless `allow_gaps` is set, in which case missing
-    ticks are forward-filled with the previous value.  Duplicate
-    (machine, timestamp) rows are always rejected.
-    """
-    path = Path(path)
+def _read_rows(path: Path, schema: CsvSchema) -> dict[str, list[tuple[int, float]]]:
+    """Each machine's (timestamp, value) rows, in file order."""
     per_machine: dict[str, list[tuple[int, float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -130,7 +122,39 @@ def load_csv(path: str | Path, schema: CsvSchema, allow_gaps: bool = False) -> l
                 raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
             if not math.isfinite(val):
                 raise MalformedRow(f"{path}:{lineno}: non-finite value {val!r}")
+            if val < 0.0:
+                raise MalformedRow(f"{path}:{lineno}: negative value {val!r}")
             per_machine.setdefault(machine, []).append((ts, val))
+    return per_machine
+
+
+def _first_non_utf8_line(path: Path) -> int:
+    """The line, counted from 1, that holds the first byte of `path` that is
+    not UTF-8."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return data.count(b"\n") + 1
+
+
+def load_csv(path: str | Path, schema: CsvSchema, allow_gaps: bool = False) -> list[RawTrace]:
+    """Read a trace CSV into one RawTrace per machine, in first-seen order.
+
+    Timestamps within a machine must form a uniform grid: after sorting, every
+    step must equal the smallest step.  A larger gap raises
+    NonMonotonicTimestamps unless `allow_gaps` is set, in which case missing
+    ticks are forward-filled with the previous value.  Duplicate
+    (machine, timestamp) rows are always rejected.  A value that is not a
+    finite, non-negative number, or a byte that is not UTF-8, raises
+    MalformedRow naming the file and line.
+    """
+    path = Path(path)
+    try:
+        per_machine = _read_rows(path, schema)
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 ({exc.reason})") from exc
     if not per_machine:
         raise EmptyFile(f"{path}: no data rows")
 

@@ -181,6 +181,7 @@ def train(train_windows: WindowSet | list[SampleWindow], cfg: WindowConfig, tcfg
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch} (value={value!r})")
             bf.y.grad = grad
             bf.tape.backward()
+            del bf  # the tape holds the batch's activations: free them before the next forward
             flat_grad = store.grad_flat()
             if tcfg.grad_clip is not None:
                 norm = float(np.linalg.norm(flat_grad))

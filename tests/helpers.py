@@ -126,18 +126,18 @@ def attention(tape: Tape, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     a = attention_weights(q, k)
     out = Tensor(a @ v.data)
     if tape.recording:
+        out.grad = np.zeros_like(out.data)
+
         def _back():
             g = out.grad
-            if g is None:
-                return
             da = g @ v.data.T
             ds = a * (da - (da * a).sum(axis=1, keepdims=True))
-            q.ensure_grad()
-            k.ensure_grad()
-            v.ensure_grad()
-            v.grad += a.T @ g
-            q.grad += ds @ k.data * scale
-            k.grad += ds.T @ q.data * scale
+            if v.grad is not None:
+                v.grad += a.T @ g
+            if q.grad is not None:
+                q.grad += ds @ k.data * scale
+            if k.grad is not None:
+                k.grad += ds.T @ q.data * scale
         tape.record(_back)
     return out
 

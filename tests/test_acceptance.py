@@ -19,8 +19,7 @@ from periocast.loss import LossConfig, batch_loss
 from periocast.model import (Ablation, WindowConfig, build_params, forward_batch,
                              make_windows, merge_splits)
 from periocast.neural import (ParamStore, Tape, add_autoencoder_slots, autoencoder,
-                              concat_cols, linear, pair_attention, recurrent_cell_step,
-                              scalar_attention, select_cols, tanh)
+                              concat_cols, linear, pair_attention, recurrent_cell_step, tanh)
 from periocast.neural import add as tensor_add
 from periocast.periodicity import (PeriodicityConfig, build_knowledge, detect_period,
                                    dtw_distance, fit_threshold_gmm_sweep)
@@ -106,14 +105,9 @@ def _primitive_runs(rng, seed):
     c0, c1 = st4.add("c0", 3, 2), st4.add("c1", 3, 3)
     _fill(c0, rng)
     _fill(c1, rng)
-    idx = np.array([0, 2, 2, 4])  # repeated column: scatter must accumulate
-
-    def run_select(tape):
-        cat = concat_cols(tape, [c0, c1])
-        out = select_cols(tape, cat, idx)
-        return [(out, p.setdefault("select", proj_like(out)))]
-
-    runs.append(("concat+select", st4, run_select))
+    runs.append(("concat", st4,
+                 lambda tape: [(out := concat_cols(tape, [c0, c1]),
+                                p.setdefault("concat", proj_like(out)))]))
 
     st6 = ParamStore()
     q6, k6, v6 = st6.add("q", 3, 4), st6.add("k", 5, 4), st6.add("v", 5, 2)
@@ -122,14 +116,6 @@ def _primitive_runs(rng, seed):
     runs.append(("attention", st6,
                  lambda tape: [(out := attention(tape, q6, k6, v6),
                                 p.setdefault("attn", proj_like(out)))]))
-
-    st7 = ParamStore()
-    q7, kv7 = st7.add("q", 3, 6), st7.add("kv", 3, 6)
-    _fill(q7, rng)
-    _fill(kv7, rng)
-    runs.append(("scalar_attention", st7,
-                 lambda tape: [(out := scalar_attention(tape, q7, kv7),
-                                p.setdefault("sattn", proj_like(out)))]))
 
     st8 = ParamStore()
     q8, a8, b8 = st8.add("q", 3, 4), st8.add("c0", 3, 4), st8.add("c1", 3, 4)
@@ -167,7 +153,7 @@ def _check_primitives(seed):
     for name, store, run in _primitive_runs(rng, seed):
         tape = Tape()
         for out, proj in run(tape):
-            out.grad = proj.copy() if out.grad is None else out.grad + proj
+            out.grad += proj
         tape.backward()
         analytic = store.grad_flat().copy()
 

@@ -1,9 +1,10 @@
 """The benchmark's tracer (periobench/tracer.py) wraps periocast functions at
 the place each one is looked up when called.  These tests keep those places
 in step with the library: a hook whose name moved would make a traced
-benchmark run fail with a KeyError.  The last test keeps the rest of the
+benchmark run fail with a KeyError.  The third test keeps the rest of the
 API the benchmark drives in step: its cold-start script, and the window
-lists it hands to `evaluate`."""
+lists it hands to `evaluate`.  The fourth runs the benchmark itself, briefly
+and traced."""
 
 import importlib.util
 import json
@@ -31,11 +32,20 @@ BENCH = Path(__file__).resolve().parent.parent / "periobench"
 TRACER = BENCH / "tracer.py"
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("periobench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer_module():
+    return _load("periobench_tracer", TRACER)
+
+
+def _workloads_module():
+    return _load("periobench_workloads", BENCH / "workloads.py")
 
 
 def test_every_traced_name_is_where_the_tracer_looks_it_up():
@@ -88,3 +98,19 @@ def test_benchmark_serving_path_matches_the_library(tmp_path):
     from_set = evaluate(served, split.test, cfg)
     assert from_list.aggregate == from_set.aggregate
     assert from_list.per_machine == from_set.per_machine
+
+
+def test_traced_benchmark_run_passes_its_checks():
+    # one short traced run of the smallest workload: the benchmark's own
+    # correctness checks pass, and the tape of a training batch has one node
+    # per encoder step, two per decoder step and 9 more
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", "lax-dtw",
+                           "--seed", "1", "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    window = _workloads_module().WINDOW
+    nodes = window["layers"] * window["i"] + 2 * window["j"] + 9
+    assert result["metrics"]["neural.tape_nodes_per_batch"]["value"] == nodes

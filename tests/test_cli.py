@@ -63,6 +63,23 @@ def test_generate_deterministic(tmp_path):
 
 # --- detect-period ----------------------------------------------------------------
 
+@pytest.mark.parametrize("flags, message", [
+    (["--length", "0"], "length must be >= 1"),
+    (["--period", "1"], "period must be >= 2"),
+    (["--burst-rate", "2"], "burst_rate must lie in [0, 1]"),
+    (["--machines", "-1"], "--machines must be >= 1"),
+    (["--machines", "0"], "--machines must be >= 1"),
+], ids=["length-0", "period-1", "burst-rate-2", "machines-minus-1", "machines-0"])
+def test_generate_bad_recipe_exits_1(tmp_path, capsys, flags, message):
+    out = tmp_path / "gen" / "traces.csv"
+    rc = main(["generate", "--out", str(out), *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "wrote" not in captured.out
+    assert not out.parent.exists()
+
+
 def test_detect_period_verdicts(tmp_path, data_csv, capsys):
     out = tmp_path / "detect"
     rc = main(["detect-period", "--data", str(data_csv), "--out", str(out)])
@@ -247,6 +264,29 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     bad.write_text("machine_id,timestamp,value\na,0,not_a_number\n")
     rc = main(["detect-period", "--data", str(bad), "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+# one bad row after two good ones, in a schema with and one without a
+# machine column: line 4 holds the negative value or the byte 0xff
+BAD_ROWS = {
+    "generic": (b"machine_id,timestamp,value\na,0,0.5\na,1,0.6\n", b"a,2,", b"\na,3,0.4\n"),
+    "dinda": (b"timestamp,load\n0,0.5\n1,0.6\n", b"2,", b"\n3,0.4\n"),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(BAD_ROWS))
+@pytest.mark.parametrize("value, message", [(b"-0.25", "negative value"), (b"0.\xff7", "not UTF-8")],
+                         ids=["negative", "not-utf8"])
+def test_bad_trace_value_exits_2_with_file_and_line(tmp_path, capsys, schema, value, message):
+    head, row, tail = BAD_ROWS[schema]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(head + row + value + tail)
+    rc = main(["detect-period", "--data", str(bad), "--out", str(tmp_path / "out"),
+               "--set", f"io.schema={schema}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:4: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_config_key_exits_1(tmp_path, data_csv, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_param_grad, max_rel_err, random_window, tiny_config
+from helpers import attention, fd_param_grad, max_rel_err, random_window, tiny_config
 from periocast.errors import SeriesTooShort
 from periocast.loss import LossConfig, batch_loss
 from periocast.model import (
@@ -252,22 +252,41 @@ def test_zero_params_encoder_states_zero():
     assert enc_last.data.shape == (1, cfg.hidden)
     assert np.all(enc_last.data == 0.0)
     # the long-context summary is parameter-free and survives zeroing
-    assert x_long_bar.data.shape == (1, math.ceil(cfg.effective_ds_window() / cfg.ds_step))
+    assert x_long_bar.shape == (1, math.ceil(cfg.effective_ds_window() / cfg.ds_step))
+
+
+@pytest.mark.parametrize("ds_window, ds_step, ticks", [
+    (7, 3, [3, 6, 9]),
+    (10, 4, [0, 4, 8]),
+    (30, 4, [0, 4, 8]),  # a window wider than m is cut to m
+])
+def test_long_context_summary_attends_over_trailing_ticks(ds_window, ds_step, ticks):
+    cfg = WindowConfig(i=4, m=10, j=2, hidden=2, layers=1, ds_step=ds_step, ds_window=ds_window)
+    store = build_params(cfg, Ablation.FULL, seed_or_rng=0)
+    x_long = np.random.default_rng(8).uniform(size=(3, cfg.m))
+    _, summary = encode(Tape(recording=False), store, cfg, Tensor(x_long[:, cfg.m - cfg.i:]),
+                        Tensor(x_long))
+    assert summary.shape == (3, math.ceil(cfg.effective_ds_window() / ds_step)) == (3, len(ticks))
+    for b in range(3):
+        col = Tensor(x_long[b, ticks].reshape(-1, 1))
+        ref = attention(Tape(recording=False), col, col, col)
+        np.testing.assert_allclose(summary[b], ref.data.ravel(), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cfg, nodes", [
-    (tiny_config(), 29),
-    (tiny_config(layers=1, j=3), 25),
-    (WindowConfig(i=24, m=48, j=2, hidden=32, layers=2, ds_step=8, ds_window=48), 65),  # benchmark model
+    (tiny_config(), 25),
+    (tiny_config(layers=1, j=3), 21),
+    (WindowConfig(i=24, m=48, j=2, hidden=32, layers=2, ds_step=8, ds_window=48), 61),  # benchmark model
 ])
 def test_full_forward_tape_size(cfg, nodes):
     # one node per encoder cell step, two per decoder step (cell and head) and
-    # 13 for the rest: the encoder's inputs are column views, not gathers
+    # 9 for the rest: the inputs are column views and the long-context
+    # summary is computed off the tape
     store = build_params(cfg, Ablation.FULL, seed_or_rng=0)
     rng = np.random.default_rng(7)
     tape = Tape()
     forward_batch([random_window(cfg, rng) for _ in range(3)], store, cfg, Ablation.FULL, tape)
-    assert len(tape) == nodes == cfg.layers * cfg.i + 2 * cfg.j + 13
+    assert len(tape) == nodes == cfg.layers * cfg.i + 2 * cfg.j + 9
 
 
 def test_no_period_output_equals_raw_decode_of_full():
@@ -476,3 +495,33 @@ def test_full_model_gradients_match_fd():
                 # floor 1e-4: elements below it are held to |a - n| <= 1e-9,
                 # absorbing fd round-off while still catching O(scale) bugs
                 assert max_rel_err(analytic, numeric, floor=1e-4) < 1e-5
+
+
+def test_data_tensors_get_no_gradient():
+    # encode, decode and fuse on a recording tape: the tensors wrapped around
+    # window data have no gradient buffer, so backward leaves them without
+    # one, and every parameter's gradient still matches central differences
+    cfg = WindowConfig(i=4, m=6, j=2, hidden=3, layers=2, ds_step=2, ds_window=4)
+    rng = np.random.default_rng(9)
+    ws = WindowSet.of([random_window(cfg, rng) for _ in range(3)])
+    store = build_params(cfg, Ablation.FULL, seed_or_rng=9)
+    proj = rng.normal(size=(3, cfg.j))
+
+    def run(tape):
+        data = Tensor(ws.x_short), Tensor(ws.x_long), Tensor(ws.y_period)
+        x_short, x_long, y_period = data
+        enc_last, x_long_bar = encode(tape, store, cfg, x_short, x_long)
+        y_hat = decode(tape, store, cfg, enc_last, x_long_bar, x_short)
+        y, _ = fuse(tape, store, cfg, x_short, y_hat, y_period)
+        return y, data
+
+    store.zero_grad()
+    tape = Tape()
+    y, data = run(tape)
+    y.grad += proj
+    tape.backward()
+    assert [t.grad for t in data] == [None, None, None]
+    analytic = store.grad_flat()
+    assert np.all(analytic != 0.0)  # the data-side skips leave no parameter out
+    numeric = fd_param_grad(lambda: float((run(Tape(recording=False))[0].data * proj).sum()), store)
+    assert max_rel_err(analytic, numeric, floor=1e-4) < 1e-5

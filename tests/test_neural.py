@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import attention, attention_weights, fd_array_grad, fd_param_grad, logistic, max_rel_err
-from periocast.errors import ShapeMismatch, TapeConsumed, WindowTooLarge
+from periocast.errors import ShapeMismatch, TapeConsumed
 from periocast.neural import (
     ParamStore,
     Tape,
@@ -13,13 +13,11 @@ from periocast.neural import (
     add_autoencoder_slots,
     autoencoder,
     concat_cols,
-    downsample_indices,
     gates,
     linear,
     pair_attention,
     recurrent_cell_step,
     scalar_attention,
-    select_cols,
     tanh,
 )
 from periocast.rng import Prng
@@ -54,6 +52,20 @@ def test_tape_not_recording_skips_closures():
     x = Tensor(np.ones((2, 2)))
     tanh(tape, x)
     assert len(tape) == 0
+
+
+def test_backward_skips_tensors_without_a_buffer():
+    # an op's output gets a zero buffer while the tape records; a data leaf
+    # has none, so only the parameter receives a gradient
+    tape = Tape()
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    w = ParamStore().add("w", 3, 2, Prng(0))
+    y = linear(tape, x, w)
+    assert np.array_equal(y.grad, np.zeros((2, 2)))
+    y.grad += 1.0
+    tape.backward()
+    assert x.grad is None
+    assert np.array_equal(w.grad, x.data.T @ np.ones((2, 2)))
 
 
 def test_non_recording_matches_recording_values():
@@ -182,9 +194,16 @@ def test_store_flat_reads_are_copies():
 
 # --- finite-difference harness for each primitive ----------------------------------
 
+def _opt_in(*tensors):
+    """Give input leaves zero gradient buffers, so backward reaches them."""
+    for t in tensors:
+        t.grad = np.zeros_like(t.data)
+
+
 def _check_op(build, n_seeds=5):
     """build(rng) -> (f_scalar, store, extra_inputs); checks d f / d params and
-    d f / d inputs against central differences."""
+    d f / d inputs against central differences.  `f` gives each input in
+    `extra_inputs` a fresh zero buffer."""
     for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
         f, store, inputs = build(rng)
@@ -220,7 +239,7 @@ def test_linear_gradients():
         x = Tensor(x_arr)
 
         def f(tape):
-            x.grad = None
+            _opt_in(x)
             return linear(tape, x, w, b)
 
         return f, store, [(x_arr, x)]
@@ -243,7 +262,7 @@ def test_tanh_gradients():
         x = Tensor(x_arr)
 
         def f(tape):
-            x.grad = None
+            _opt_in(x)
             return tanh(tape, x)
 
         return f, store, [(x_arr, x)]
@@ -259,8 +278,7 @@ def test_add_broadcast_gradients():
         a, b = Tensor(a_arr), Tensor(b_arr)
 
         def f(tape):
-            a.grad = None
-            b.grad = None
+            _opt_in(a, b)
             return add(tape, a, b)
 
         return f, store, [(a_arr, a), (b_arr, b)]
@@ -274,33 +292,14 @@ def test_concat_select_gradients():
         a_arr = rng.normal(size=(3, 2))
         b_arr = rng.normal(size=(3, 4))
         a, b = Tensor(a_arr), Tensor(b_arr)
-        idx = [0, 2, 2, 5]  # repeated column exercises scatter accumulation
 
         def f(tape):
-            a.grad = None
-            b.grad = None
-            cat = concat_cols(tape, [a, b])
-            sel = select_cols(tape, cat, idx)
-            return tanh(tape, sel)
+            _opt_in(a, b)
+            return tanh(tape, concat_cols(tape, [a, b]))
 
         return f, store, [(a_arr, a), (b_arr, b)]
 
     _check_op(build)
-
-
-def test_downsample_rows_and_gradient():
-    idx = downsample_indices(10, 3, 7)
-    assert idx.tolist() == [3, 6, 9]
-
-
-def test_downsample_count_is_ceil():
-    assert len(downsample_indices(20, 4, 10)) == math.ceil(10 / 4)
-    assert len(downsample_indices(20, 5, 20)) == 4
-
-
-def test_downsample_window_too_large():
-    with pytest.raises(WindowTooLarge):
-        downsample_indices(5, 1, 6)
 
 
 def test_attention_gradients():
@@ -312,7 +311,7 @@ def test_attention_gradients():
         q, k, v = Tensor(q_arr), Tensor(k_arr), Tensor(v_arr)
 
         def f(tape):
-            q.grad = k.grad = v.grad = None
+            _opt_in(q, k, v)
             return attention(tape, q, k, v)
 
         return f, store, [(q_arr, q), (k_arr, k), (v_arr, v)]
@@ -353,28 +352,12 @@ def test_scalar_attention_matches_generic_per_window():
     rng = np.random.default_rng(3)
     q_arr = rng.normal(size=(3, 5))
     kv_arr = rng.normal(size=(3, 7))
-    batched = scalar_attention(Tape(recording=False), Tensor(q_arr), Tensor(kv_arr))
+    batched = scalar_attention(q_arr, kv_arr)
     for b in range(3):
         qb = Tensor(q_arr[b].reshape(-1, 1))
         kb = Tensor(kv_arr[b].reshape(-1, 1))
         ref = attention(Tape(recording=False), qb, kb, kb)
-        assert np.allclose(batched.data[b], ref.data.ravel(), atol=1e-12)
-
-
-def test_scalar_attention_gradients():
-    def build(rng):
-        store = ParamStore()
-        q_arr = rng.normal(size=(2, 4))
-        kv_arr = rng.normal(size=(2, 6))
-        q, kv = Tensor(q_arr), Tensor(kv_arr)
-
-        def f(tape):
-            q.grad = kv.grad = None
-            return scalar_attention(tape, q, kv)
-
-        return f, store, [(q_arr, q), (kv_arr, kv)]
-
-    _check_op(build)
+        assert np.allclose(batched[b], ref.data.ravel(), atol=1e-12)
 
 
 def test_pair_attention_zero_query_blends_evenly():
@@ -418,7 +401,7 @@ def test_pair_attention_gradients():
         q, c0, c1 = Tensor(q_arr), Tensor(c0_arr), Tensor(c1_arr)
 
         def f(tape):
-            q.grad = c0.grad = c1.grad = None
+            _opt_in(q, c0, c1)
             return pair_attention(tape, q, c0, c1)[0]
 
         return f, store, [(q_arr, q), (c0_arr, c0), (c1_arr, c1)]
@@ -569,7 +552,7 @@ def test_autoencoder_gradients():
         x = Tensor(x_arr)
 
         def f(tape):
-            x.grad = None
+            _opt_in(x)
             return autoencoder(tape, x, store, "ae")
 
         return f, store, [(x_arr, x)]
