@@ -39,6 +39,7 @@ from .neural import (
     linear,
     pair_attention,
     recurrent_cell_step,
+    recurrent_sequence,
     scalar_attention,
     autoencoder,
     add_autoencoder_slots,
@@ -255,33 +256,26 @@ def build_params(cfg: WindowConfig, ablation: Ablation, seed_or_rng) -> ParamSto
     return store
 
 
-def _zeros(batch: int, cols: int) -> Tensor:
-    return Tensor(np.zeros((batch, cols)))
-
-
 def encode(tape: Tape, store: ParamStore, cfg: WindowConfig,
            x_short: Tensor, x_long: Tensor) -> tuple[Tensor, np.ndarray]:
     """Run the stacked encoder and summarise the long context.
 
     `x_short` is (batch, i), `x_long` is (batch, m).  Returns the top layer's
     final hidden state (batch, hidden) and the self-attended downsampled long
-    context (batch, ceil(ds_window / ds_step)).  Each tick enters as a column
-    view of `x_short`.  The summary has no parameters, so it is plain numpy,
-    off the tape.
+    context (batch, ceil(ds_window / ds_step)).  Each layer is one
+    `recurrent_sequence` over the time-major output of the layer below; the
+    first reads the recent window transposed to one tick per row block.
+    The summary has no parameters, so it is plain numpy, off the tape.
     """
     if x_short.cols != cfg.i or x_long.cols != cfg.m:
         raise ShapeMismatch("encode: window widths do not match the config")
-    weights = [(store[f"enc.l{layer}.wx"], store[f"enc.l{layer}.wh"], store[f"enc.l{layer}.b"])
-               for layer in range(cfg.layers)]
-    h = [_zeros(x_short.rows, cfg.hidden) for _ in range(cfg.layers)]
-    c = [_zeros(x_short.rows, cfg.hidden) for _ in range(cfg.layers)]
-    for t in range(cfg.i):
-        inp = Tensor(x_short.data[:, t: t + 1])
-        for layer, (wx, wh, b) in enumerate(weights):
-            h[layer], c[layer] = recurrent_cell_step(tape, inp, h[layer], c[layer], wx, wh, b)
-            inp = h[layer]
+    seq = Tensor(x_short.data.T.reshape(-1, 1))
+    for layer in range(cfg.layers):
+        seq, h_last = recurrent_sequence(
+            tape, seq, cfg.i, store[f"enc.l{layer}.wx"], store[f"enc.l{layer}.wh"],
+            store[f"enc.l{layer}.b"], keep_seq=layer < cfg.layers - 1)
     ds = x_long.data[:, cfg.m - cfg.effective_ds_window():: cfg.ds_step]
-    return h[-1], scalar_attention(ds, ds)
+    return h_last, scalar_attention(ds, ds)
 
 
 def decode(tape: Tape, store: ParamStore, cfg: WindowConfig,
@@ -378,5 +372,8 @@ def forward_batch(windows: WindowSet | list[SampleWindow], store: ParamStore, cf
 
 def forward(window: SampleWindow, store: ParamStore, cfg: WindowConfig,
             ablation: Ablation = Ablation.FULL) -> Forecast:
-    """Single-window convenience wrapper around `forward_batch`."""
-    return forward_batch([window], store, cfg, ablation, Tape(recording=False)).forecasts()[0]
+    """Single-window convenience wrapper around `forward_batch`.  The window's
+    arrays enter as one-row views, with no stacking."""
+    one = WindowSet(np.array([window.machine_id]), np.array([window.start]),
+                    *(getattr(window, name)[None] for name in _FIELDS[2:]))
+    return forward_batch(one, store, cfg, ablation, Tape(recording=False)).forecasts()[0]

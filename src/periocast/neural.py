@@ -2,8 +2,9 @@
 
 Everything the forecaster learns through is built from a handful of
 primitives, each with an exact hand-written backward pass: affine maps, a
-gated recurrent cell, attention over two candidates and a
-one-unit-bottleneck autoencoder.
+gated recurrent cell, one op that runs that cell over a whole sequence,
+attention over two candidates and a one-unit-bottleneck autoencoder.  The
+single step and the sequence op share one copy of the cell's math.
 
 Ops execute eagerly and append a closure to a `Tape`; `Tape.backward()` runs
 the closures in reverse order, accumulating into each tensor's `grad`
@@ -17,6 +18,7 @@ features; data is row-major float64.
 from __future__ import annotations
 
 import functools
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -330,8 +332,9 @@ def _gate_rows(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def gates(z: np.ndarray) -> np.ndarray:
-    """All four gate activations of a (rows, 4 * hidden) pre-activation slab.
+def gates(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """All four gate activations of a (rows, 4 * hidden) pre-activation slab,
+    written to `out` (which may be `z`) or to a new array.
 
     sigmoid(v) = 1/2 + tanh(v/2)/2, so one tanh serves every quarter:
     s = tanh(z * scale) * scale + shift is sigmoid on the input, forget and
@@ -339,7 +342,63 @@ def gates(z: np.ndarray) -> np.ndarray:
     input overflows.
     """
     scale, shift = _gate_rows(z.shape[1] // 4)
-    return np.tanh(z * scale) * scale + shift
+    return _squash(np.multiply(z, scale, out=out), scale, shift)
+
+
+def _squash(zs: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """`gates` of pre-activations already multiplied by `scale`, in place."""
+    np.tanh(zs, out=zs)
+    zs *= scale
+    zs += shift
+    return zs
+
+
+def _cell_state(s: np.ndarray, c_prev: np.ndarray, c: np.ndarray, tc: np.ndarray, h: np.ndarray) -> None:
+    """From the gate activations `s` of one step and the previous cell state,
+    write the new cell state c = f * c_prev + i * g, tc = tanh(c) and the new
+    hidden state h = o * tc."""
+    hidden = c.shape[1]
+    np.multiply(s[:, hidden: 2 * hidden], c_prev, out=c)
+    c += s[:, :hidden] * s[:, 2 * hidden: 3 * hidden]
+    np.tanh(c, out=tc)
+    np.multiply(s[:, 3 * hidden:], tc, out=h)
+
+
+def _cell_dz(dh: np.ndarray, dc: np.ndarray, s: np.ndarray, c_prev: np.ndarray,
+             tc: np.ndarray) -> np.ndarray:
+    """Backward of one step, in place: overwrite the gate activations `s` with
+    the pre-activation gradient dz, given the gradients `dh` and `dc` of the
+    step's hidden and cell state.  Returns the previous cell state's gradient.
+
+    Every gate's slope comes from its activation in one pass over the row:
+    scale^2 - (s - shift)^2 is s * (1 - s) on the sigmoid quarters and
+    1 - g^2 on the tanh quarter.
+    """
+    hidden = dh.shape[1]
+    scale, shift = _gate_rows(hidden)
+    i = s[:, :hidden]
+    f = s[:, hidden: 2 * hidden]
+    g = s[:, 2 * hidden: 3 * hidden]
+    o = s[:, 3 * hidden:]
+    slope = s - shift
+    slope *= slope
+    np.subtract(scale * scale, slope, out=slope)
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dc_prev = dc * f
+    dg = dc * i
+    np.multiply(dc, g, out=i)
+    g[...] = dg
+    np.multiply(dc, c_prev, out=f)
+    np.multiply(dh, tc, out=o)
+    s *= slope
+    return dc_prev
+
+
+def _check_cell(x_cols: int, hidden: int, wx: Tensor, wh: Tensor, b: Tensor) -> None:
+    if wx.cols != 4 * hidden or wh.cols != 4 * hidden or b.cols != 4 * hidden or b.rows != 1:
+        raise ShapeMismatch("cell: weight cols must be 4 * hidden, bias one row")
+    if x_cols != wx.rows or wh.rows != hidden:
+        raise ShapeMismatch("cell: input/state dims do not match weights")
 
 
 def recurrent_cell_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
@@ -353,19 +412,10 @@ def recurrent_cell_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
         c' = f * c + i * g
         h' = o * tanh(c')
     """
-    hidden = h.cols
-    if wx.cols != 4 * hidden or wh.cols != 4 * hidden or b.cols != 4 * hidden:
-        raise ShapeMismatch("cell: weight cols must be 4 * hidden")
-    if x.cols != wx.rows or wh.rows != hidden:
-        raise ShapeMismatch("cell: input/state dims do not match weights")
-    s = gates(x.data @ wx.data + h.data @ wh.data + b.data)
-    i = s[:, :hidden]
-    f = s[:, hidden: 2 * hidden]
-    g = s[:, 2 * hidden: 3 * hidden]
-    o = s[:, 3 * hidden:]
-    c_new = f * c.data + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
+    _check_cell(x.cols, h.cols, wx, wh, b)
+    s = x.data @ wx.data + h.data @ wh.data + b.data
+    c_new, tc, h_new = np.empty((3, h.rows, h.cols))
+    _cell_state(gates(s, out=s), c.data, c_new, tc, h_new)
     h_out = Tensor(h_new)
     c_out = Tensor(c_new)
     if tape.recording:
@@ -373,32 +423,91 @@ def recurrent_cell_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
         c_out.grad = np.zeros_like(c_new)
 
         def _back():
-            dh = h_out.grad
-            do = dh * tc
-            dc = c_out.grad + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c.data
-            dg = dc * i
-            dz = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ], axis=1)
+            dc_prev = _cell_dz(h_out.grad, c_out.grad, s, c.data, tc)  # s now holds dz
             if wx.grad is not None:
-                wx.grad += x.data.T @ dz
+                wx.grad += x.data.T @ s
             if wh.grad is not None:
-                wh.grad += h.data.T @ dz
+                wh.grad += h.data.T @ s
             if b.grad is not None:
-                b.grad += dz.sum(axis=0, keepdims=True)
+                b.grad += s.sum(axis=0, keepdims=True)
             if x.grad is not None:
-                x.grad += dz @ wx.data.T
+                x.grad += s @ wx.data.T
             if h.grad is not None:
-                h.grad += dz @ wh.data.T
+                h.grad += s @ wh.data.T
             if c.grad is not None:
-                c.grad += dc * f
+                c.grad += dc_prev
         tape.record(_back)
     return h_out, c_out
+
+
+def recurrent_sequence(tape: Tape, xs: Tensor, steps: int, wx: Tensor, wh: Tensor, b: Tensor,
+                       keep_seq: bool = True) -> tuple[Tensor | None, Tensor]:
+    """One `recurrent_cell_step` layer over a whole sequence, as one tape node.
+
+    `xs` holds the inputs time-major, (steps * batch, d_in): rows
+    t * batch ... (t + 1) * batch - 1 are tick t.  The state starts at zero.
+    Returns the hidden sequence in the same layout, or None when `keep_seq`
+    is false, and the final hidden state (batch, hidden).
+
+    The loop runs tick by tick over preallocated slabs.  While the tape
+    records, every tick's gates and states are kept for the backward;
+    otherwise only the hidden sequence, if `keep_seq`, and the rest lives in
+    one or two rolling rows.  The backward steps only the recurrence
+    (dh <- dz @ wh.T and the cell-state gradient), writing each tick's dz
+    over its gate activations, then forms the gradients of the weights and
+    of `xs` with one product or sum each over all ticks.
+    """
+    hidden = wh.rows
+    if steps < 1 or xs.rows % steps:
+        raise ShapeMismatch(f"sequence: {xs.rows} rows do not split into {steps} ticks")
+    _check_cell(xs.cols, hidden, wx, wh, b)
+    batch = xs.rows // steps
+    record = tape.recording
+    # The weights pre-multiplied by the gate scale, a power of two, give
+    # z * scale exactly, so each tick only squashes.
+    scale, shift = _gate_rows(hidden)
+    wxs, whs, bs = wx.data * scale, wh.data * scale, b.data * scale
+    # Row 0 of hs and cs is the zero initial state.  Tick t reads row t and
+    # writes row t + 1; a one- or two-row slab is reused in turn.
+    hs = np.empty((steps + 1 if record or keep_seq else 2, batch, hidden))
+    cs = np.empty((steps + 1 if record else 2, batch, hidden))
+    tcs = np.empty((steps if record else 1, batch, hidden))
+    ss = np.empty((steps if record else 1, batch, 4 * hidden))
+    hs[0] = 0.0
+    cs[0] = 0.0
+    hz = np.empty((batch, 4 * hidden))
+    for x, s, h_prev, h, c_prev, c, tc in zip(
+            xs.data.reshape(steps, batch, xs.cols), cycle(ss), cycle(hs), islice(cycle(hs), 1, None),
+            cycle(cs), islice(cycle(cs), 1, None), cycle(tcs)):
+        np.matmul(h_prev, whs, out=s)
+        s += np.matmul(x, wxs, out=hz)
+        s += bs
+        _cell_state(_squash(s, scale, shift), c_prev, c, tc, h)
+    seq = Tensor(hs[1:].reshape(steps * batch, hidden)) if record or keep_seq else None
+    h_last = Tensor(hs[steps % len(hs)])
+    if record:
+        seq.grad = np.zeros_like(seq.data)
+        h_last.grad = np.zeros_like(h_last.data)
+
+        def _back():
+            dhs = seq.grad.reshape(steps, batch, hidden)
+            dhs[-1] += h_last.grad
+            dc = np.zeros((batch, hidden))
+            for t in range(steps - 1, -1, -1):
+                dc = _cell_dz(dhs[t], dc, ss[t], cs[t], tcs[t])
+                if t:
+                    dhs[t - 1] += ss[t] @ wh.data.T
+            dz = ss.reshape(steps * batch, 4 * hidden)
+            if wx.grad is not None:
+                wx.grad += xs.data.T @ dz
+            if wh.grad is not None:
+                wh.grad += hs[:-1].reshape(steps * batch, hidden).T @ dz
+            if b.grad is not None:
+                b.grad += dz.sum(axis=0, keepdims=True)
+            if xs.grad is not None:
+                xs.grad += dz @ wx.data.T
+        tape.record(_back)
+    return seq if keep_seq else None, h_last
 
 
 def autoencoder(tape: Tape, x: Tensor, store: ParamStore, prefix: str) -> Tensor:

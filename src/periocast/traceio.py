@@ -73,9 +73,6 @@ class WorkloadSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def denormalize(self) -> np.ndarray:
-        return self.values * self.scale
-
 
 @dataclass(frozen=True)
 class CsvSchema:
@@ -173,19 +170,11 @@ def load_csv(path: str | Path, schema: CsvSchema, allow_gaps: bool = False) -> l
                     f"{path}: {machine} has gaps larger than one tick (pass allow_gaps to forward-fill)"
                 )
             if allow_gaps and np.any(steps > base):
+                # each tick of the full grid takes the last row at or before it
                 full_ts = np.arange(ts[0], ts[-1] + base, base, dtype=np.int64)
-                full_vals = np.empty(len(full_ts), dtype=np.float64)
-                pos = ((ts - ts[0]) // base).astype(np.int64)
-                filled = np.zeros(len(full_ts), dtype=bool)
-                full_vals[pos] = vals
-                filled[pos] = True
-                last = vals[0]
-                for i in range(len(full_ts)):
-                    if filled[i]:
-                        last = full_vals[i]
-                    else:
-                        full_vals[i] = last
-                ts, vals = full_ts, full_vals
+                last_row = np.zeros(len(full_ts), dtype=np.int64)
+                last_row[(ts - ts[0]) // base] = np.arange(len(ts))
+                ts, vals = full_ts, vals[np.maximum.accumulate(last_row)]
         traces.append(RawTrace(machine, ts, vals))
     return traces
 

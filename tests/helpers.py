@@ -14,7 +14,7 @@ import numpy as np
 from periocast.errors import BadLength, NonFinite, ShapeMismatch
 from periocast.loss import LossConfig
 from periocast.model import SampleWindow, WindowConfig
-from periocast.neural import ParamStore, Tape, Tensor
+from periocast.neural import ParamStore, Tape, Tensor, recurrent_cell_step, scalar_attention
 from periocast.traceio import WorkloadSeries
 
 
@@ -140,6 +140,53 @@ def attention(tape: Tape, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
                 k.grad += ds.T @ q.data * scale
         tape.record(_back)
     return out
+
+
+def cell_per_tick(tape: Tape, inputs: list[Tensor], wx: Tensor, wh: Tensor, b: Tensor) -> list[Tensor]:
+    """One recurrent layer as one `recurrent_cell_step` per input, from a zero
+    state: the hidden state after each input."""
+    h = c = Tensor(np.zeros((inputs[0].rows, wh.rows)))
+    hs = []
+    for x in inputs:
+        h, c = recurrent_cell_step(tape, x, h, c, wx, wh, b)
+        hs.append(h)
+    return hs
+
+
+def encode_per_tick(tape: Tape, store: ParamStore, cfg: WindowConfig,
+                    x_short: Tensor, x_long: Tensor) -> tuple[Tensor, np.ndarray]:
+    """`model.encode` with one `recurrent_cell_step` per layer and tick, each
+    tick entering as a column view of `x_short` (the library's former
+    encoder): the reference for `recurrent_sequence`."""
+    seq = [Tensor(x_short.data[:, t: t + 1]) for t in range(cfg.i)]
+    for layer in range(cfg.layers):
+        seq = cell_per_tick(tape, seq, store[f"enc.l{layer}.wx"], store[f"enc.l{layer}.wh"],
+                            store[f"enc.l{layer}.b"])
+    ds = x_long.data[:, cfg.m - cfg.effective_ds_window():: cfg.ds_step]
+    return seq[-1], scalar_attention(ds, ds)
+
+
+def forward_fill_loop(ts: np.ndarray, vals: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps in sorted timestamps filled tick by tick with the last value seen
+    (the library's former `load_csv` loop under `allow_gaps`)."""
+    full_ts = np.arange(ts[0], ts[-1] + base, base, dtype=np.int64)
+    full_vals = np.empty(len(full_ts), dtype=np.float64)
+    pos = ((ts - ts[0]) // base).astype(np.int64)
+    filled = np.zeros(len(full_ts), dtype=bool)
+    full_vals[pos] = vals
+    filled[pos] = True
+    last = vals[0]
+    for i in range(len(full_ts)):
+        if filled[i]:
+            last = full_vals[i]
+        else:
+            full_vals[i] = last
+    return full_ts, full_vals
+
+
+def denormalize(series: WorkloadSeries) -> np.ndarray:
+    """The series back in the units it was loaded in."""
+    return series.values * series.scale
 
 
 @dataclass(frozen=True)

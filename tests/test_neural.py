@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import attention, attention_weights, fd_array_grad, fd_param_grad, logistic, max_rel_err
+from helpers import (attention, attention_weights, cell_per_tick, encode_per_tick, fd_array_grad,
+                     fd_param_grad, logistic, max_rel_err)
 from periocast.errors import ShapeMismatch, TapeConsumed
+from periocast.model import Ablation, WindowConfig, build_params, encode
 from periocast.neural import (
     ParamStore,
     Tape,
@@ -17,6 +19,7 @@ from periocast.neural import (
     linear,
     pair_attention,
     recurrent_cell_step,
+    recurrent_sequence,
     scalar_attention,
     tanh,
 )
@@ -518,6 +521,94 @@ def test_cell_shape_validation():
     c = Tensor(np.zeros((1, 2)))
     with pytest.raises(ShapeMismatch):
         recurrent_cell_step(Tape(), x, h, c, wx, wh, b)
+
+
+# --- recurrent sequence ----------------------------------------------------------
+
+def _cell_slots(store, d_in, hidden, rng, prefix=""):
+    slots = (store.add(f"{prefix}wx", d_in, 4 * hidden), store.add(f"{prefix}wh", hidden, 4 * hidden),
+             store.add(f"{prefix}b", 1, 4 * hidden))
+    for slot, spread in zip(slots, (0.5, 0.5, 0.1)):
+        slot.data[:] = rng.normal(size=slot.data.shape) * spread
+    return slots
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_sequence_matches_cell_steps(rows):
+    # the whole hidden sequence, bit for bit, with and without a tape and
+    # with the top layer's rolling rows
+    steps, d_in, hidden = 6, 3, 4
+    rng = np.random.default_rng(rows)
+    wx, wh, b = _cell_slots(ParamStore(), d_in, hidden, rng)
+    xs = rng.normal(size=(steps, rows, d_in))
+    ref = cell_per_tick(Tape(recording=False), [Tensor(x) for x in xs], wx, wh, b)
+    for recording in (False, True):
+        tape = Tape(recording)
+        seq, h_last = recurrent_sequence(tape, Tensor(xs.reshape(-1, d_in)), steps, wx, wh, b)
+        assert np.array_equal(seq.data, np.concatenate([h.data for h in ref]))
+        assert np.array_equal(h_last.data, ref[-1].data)
+        none, h_top = recurrent_sequence(tape, Tensor(xs.reshape(-1, d_in)), steps, wx, wh, b,
+                                         keep_seq=False)
+        assert none is None
+        assert np.array_equal(h_top.data, ref[-1].data)
+        assert len(tape) == (2 if recording else 0)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("layers", [1, 3])
+def test_encode_matches_per_tick_oracle(rows, layers):
+    cfg = WindowConfig(i=7, m=12, j=2, hidden=5, layers=layers, ds_step=4, ds_window=12)
+    store = build_params(cfg, Ablation.FULL, seed_or_rng=rows + layers)
+    x_long = np.random.default_rng(rows).uniform(size=(rows, cfg.m))
+    x_short = np.ascontiguousarray(x_long[:, cfg.m - cfg.i:])
+    for recording in (False, True):
+        tape = Tape(recording)
+        got, got_summary = encode(tape, store, cfg, Tensor(x_short), Tensor(x_long))
+        ref, ref_summary = encode_per_tick(Tape(recording=False), store, cfg, Tensor(x_short),
+                                           Tensor(x_long))
+        assert np.array_equal(got.data, ref.data)
+        assert np.array_equal(got_summary, ref_summary)
+        assert len(tape) == (layers if recording else 0)
+
+
+@pytest.mark.parametrize("keep_top", [True, False])
+def test_sequence_gradients(keep_top):
+    # two stacked layers: the upper one's backward sends the lower one its
+    # sequence gradient; the objective reads the top sequence or only its
+    # final state
+    steps, batch, d_in, hidden = 4, 2, 2, 3
+
+    def build(rng):
+        store = ParamStore()
+        lower = _cell_slots(store, d_in, hidden, rng, "l0.")
+        upper = _cell_slots(store, hidden, hidden, rng, "l1.")
+        xs_arr = rng.normal(size=(steps * batch, d_in))
+        xs = Tensor(xs_arr)
+
+        def f(tape):
+            _opt_in(xs)
+            seq, _ = recurrent_sequence(tape, xs, steps, *lower)
+            top, h_last = recurrent_sequence(tape, seq, steps, *upper, keep_seq=keep_top)
+            return tanh(tape, top) if keep_top else h_last
+
+        return f, store, [(xs_arr, xs)]
+
+    _check_op(build, n_seeds=3)
+
+
+def test_sequence_shape_validation():
+    store = ParamStore()
+    wx = store.add("wx", 2, 8, None)
+    wh = store.add("wh", 2, 8, None)
+    b = store.add("b", 1, 8, None)
+    recurrent_sequence(Tape(), Tensor(np.zeros((6, 2))), 3, wx, wh, b)
+    for xs, steps in ((np.zeros((6, 3)), 3),   # wrong input width
+                      (np.zeros((7, 2)), 3),   # rows do not split into ticks
+                      (np.zeros((6, 2)), 0)):
+        with pytest.raises(ShapeMismatch):
+            recurrent_sequence(Tape(), Tensor(xs), steps, wx, wh, b)
+    with pytest.raises(ShapeMismatch):
+        recurrent_sequence(Tape(), Tensor(np.zeros((6, 2))), 3, wx, wh, store.add("b2", 2, 8, None))
 
 
 # --- autoencoder ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import denormalize, forward_fill_loop
 from periocast.errors import (
     EmptyFile,
     MalformedRow,
@@ -195,6 +196,26 @@ def test_load_csv_gap_forward_fill(tmp_path):
     assert np.array_equal(trace.values, [1.0, 2.0, 2.0, 4.0])
 
 
+@pytest.mark.parametrize("present", [
+    [0, 1, 3],                    # one one-tick gap
+    [0, 4, 5, 9],                 # gaps of three ticks
+    [0, 2, 3, 5, 8, 9, 13],       # gaps at several positions and widths
+    [0, 1, 11],                   # one long gap before the last tick
+])
+def test_load_csv_gap_forward_fill_matches_loop(tmp_path, present):
+    # the vectorised fill against the tick-by-tick loop, on a 5-second grid
+    base = 5
+    ts = np.array(present, dtype=np.int64) * base + 100
+    vals = np.arange(1.0, len(ts) + 1.0) * 1.5
+    rows = "".join(f"a,{t},{v}\n" for t, v in zip(ts.tolist(), vals.tolist()))
+    (trace,) = load_csv(_write(tmp_path, "machine_id,timestamp,value\n" + rows),
+                        SCHEMAS["generic"], allow_gaps=True)
+    ref_ts, ref_vals = forward_fill_loop(ts, vals, base)
+    assert np.array_equal(trace.timestamps, ref_ts)
+    assert np.array_equal(trace.values, ref_vals)
+    assert len(trace) == present[-1] + 1
+
+
 def test_load_csv_single_machine_schema(tmp_path):
     p = _write(tmp_path, "timestamp,value\n0,5\n1,6\n")
     schema = CsvSchema(machine_col=None, time_col="timestamp",
@@ -248,7 +269,7 @@ def test_normalize_max_scale():
     s = normalize(t)
     assert s.scale == 4.0
     assert np.allclose(s.values, [0.25, 0.5, 1.0, 0.75])
-    assert np.allclose(s.denormalize(), t.values, rtol=1e-12)
+    assert np.allclose(denormalize(s), t.values, rtol=1e-12)
 
 
 def test_normalize_all_zero():
