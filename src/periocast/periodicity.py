@@ -241,15 +241,19 @@ class PeriodMatch:
     distance: float | np.ndarray
 
 
-_MATCH_LANES = 4096  # window x offset lanes per block: bounds the (block, p, I) state
+# window x offset lanes per block: MSE keeps one (block, p) sum, DTW several
+# (I + 1, lanes) arrays
+_MSE_LANES = 16384
+_DTW_LANES = 4096
 
 
 def match(knowledge: PeriodKnowledge | None, x_short: np.ndarray, j: int,
           cfg: PeriodicityConfig) -> PeriodMatch:
     """Slide each recent window, (I,) or a stack (n, I), over the template
     (cyclically) and return the continuation after its best-matching offset.
-    Ties go to the smallest offset.  Distance is mean squared difference, or
-    banded DTW, over blocks of about `_MATCH_LANES` window x offset lanes."""
+    Ties go to the smallest offset.  Distance is mean squared difference,
+    summed tick by tick, or banded DTW, over blocks of about `_MSE_LANES` or
+    `_DTW_LANES` window x offset lanes."""
     xs = np.asarray(x_short, dtype=np.float64)
     if j < 1 or xs.ndim not in (1, 2) or xs.shape[-1] < 1:
         raise ValueError("need x_short of shape (I,) or (n, I) with I >= 1, and j >= 1")
@@ -261,14 +265,23 @@ def match(knowledge: PeriodKnowledge | None, x_short: np.ndarray, j: int,
         xp = knowledge.x_period
         p = len(xp)
         segments = xp[(np.arange(p)[:, None] + np.arange(width)) % p]  # row a starts at offset a
-        dists = np.empty((n, p))
-        block = max(1, _MATCH_LANES // p)
-        for lo in range(0, n, block):
-            windows = stack[lo: lo + block, None, :]
-            if cfg.distance == "mse":
-                dists[lo: lo + block] = np.square(segments - windows).mean(axis=2)
-            else:
-                dists[lo: lo + block] = dtw_distance(segments, windows, cfg.dtw_band)
+        dists = np.zeros((n, p))
+        if cfg.distance == "mse":
+            ticks = np.ascontiguousarray(segments.T)  # row i: the template at tick i of each offset
+            block = max(1, _MSE_LANES // p)
+            scratch = np.empty((min(block, n), p))
+            for lo in range(0, n, block):
+                windows, acc = stack[lo: lo + block], dists[lo: lo + block]
+                sq = scratch[: len(acc)]
+                for i in range(width):
+                    np.subtract(ticks[i], windows[:, i, None], out=sq)
+                    np.square(sq, out=sq)
+                    acc += sq
+            dists /= width
+        else:
+            block = max(1, _DTW_LANES // p)
+            for lo in range(0, n, block):
+                dists[lo: lo + block] = dtw_distance(segments, stack[lo: lo + block, None, :], cfg.dtw_band)
         t_a = np.argmin(dists, axis=1)
         best = dists[np.arange(n), t_a]
         y = xp[(t_a[:, None] + width + np.arange(j)) % p]

@@ -10,6 +10,8 @@ scale without mixing information across machines.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +20,9 @@ import numpy as np
 
 from .errors import EmptyFile, MalformedRow, NonMonotonicTimestamps
 from .rng import Prng
+
+_INT64 = np.iinfo(np.int64)
+_CHUNK_ROWS = 1024  # rows held as Python lists at once: bounds the memory a read takes
 
 
 @dataclass(frozen=True)
@@ -99,69 +104,107 @@ SCHEMAS: dict[str, CsvSchema] = {
 }
 
 
-def _read_rows(path: Path, schema: CsvSchema) -> dict[str, list[tuple[int, float]]]:
-    """Each machine's (timestamp, value) rows, in file order."""
-    per_machine: dict[str, list[tuple[int, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFile(f"{path}: no header row")
-        needed = [c for c in (schema.machine_col, schema.time_col, schema.value_col) if c]
-        missing = [c for c in needed if c not in reader.fieldnames]
-        if missing:
-            raise MalformedRow(f"{path}: missing column(s) {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            machine = row[schema.machine_col] if schema.machine_col else schema.default_machine
-            try:
-                ts = int(row[schema.time_col])
-                val = float(row[schema.value_col])
-            except (TypeError, ValueError) as exc:
-                raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(val):
-                raise MalformedRow(f"{path}:{lineno}: non-finite value {val!r}")
-            if val < 0.0:
-                raise MalformedRow(f"{path}:{lineno}: negative value {val!r}")
-            per_machine.setdefault(machine, []).append((ts, val))
-    return per_machine
-
-
-def _first_non_utf8_line(path: Path) -> int:
-    """The line, counted from 1, that holds the first byte of `path` that is
-    not UTF-8."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    return data.count(b"\n") + 1
+def _bad_row(path: Path, text: str, schema: CsvSchema, at: dict[str, int]) -> MalformedRow:
+    """The error for the first row, in file order, that `load_csv` cannot
+    take, naming the line that row starts on.  `at` maps each column the
+    schema reads to its index in a row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)  # the header
+    start = reader.line_num + 1  # each row starts on the line after the last one read
+    for row in reader:
+        line, start = start, reader.line_num + 1
+        if not row:
+            continue
+        try:
+            for name, k in at.items():
+                if k >= len(row):
+                    raise ValueError(f"no {name!r} field")
+            ts = int(row[at[schema.time_col]])
+            if not _INT64.min <= ts <= _INT64.max:
+                raise ValueError(f"timestamp {ts} outside the int64 range")
+            val = float(row[at[schema.value_col]])
+        except ValueError as exc:
+            return MalformedRow(f"{path}:{line}: {exc}")
+        if not math.isfinite(val):
+            return MalformedRow(f"{path}:{line}: non-finite value {val!r}")
+        if val < 0.0:
+            return MalformedRow(f"{path}:{line}: negative value {val!r}")
+    raise AssertionError(f"{path}: no bad row found")
 
 
 def load_csv(path: str | Path, schema: CsvSchema, allow_gaps: bool = False) -> list[RawTrace]:
     """Read a trace CSV into one RawTrace per machine, in first-seen order.
 
-    Timestamps within a machine must form a uniform grid: after sorting, every
-    step must equal the smallest step.  A larger gap raises
-    NonMonotonicTimestamps unless `allow_gaps` is set, in which case missing
-    ticks are forward-filled with the previous value.  Duplicate
-    (machine, timestamp) rows are always rejected.  A value that is not a
-    finite, non-negative number, or a byte that is not UTF-8, raises
-    MalformedRow naming the file and line.
+    The file is parsed in one `csv.reader` pass that skips blank rows, and
+    each block of `_CHUNK_ROWS` rows is transposed into columns that are
+    converted whole.  Timestamps within a machine must form a uniform grid:
+    after sorting, every step must equal the smallest step.  A larger gap
+    raises NonMonotonicTimestamps unless `allow_gaps` is set, in which case
+    missing ticks are forward-filled with the previous value.  Duplicate
+    (machine, timestamp) rows are always rejected.  A row without the
+    schema's columns, a value that is not a finite, non-negative number, or
+    a byte that is not UTF-8 raises MalformedRow naming the file and the
+    line the first such row starts on.
     """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        per_machine = _read_rows(path, schema)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRow(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 ({exc.reason})") from exc
-    if not per_machine:
+        head = data[: exc.start]  # lines end at \n, \r\n or \r, as csv.reader counts them
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise MalformedRow(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
+    del data
+    reader = csv.reader(io.StringIO(text, newline=""))
+    code_of: dict[str, int] = {}  # machine id -> code, in first-seen order
+    ts_parts, val_parts, code_parts = [], [], []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFile(f"{path}: no header row")
+        names = [c for c in (schema.machine_col, schema.time_col, schema.value_col) if c]
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise MalformedRow(f"{path}: missing column(s) {missing}")
+        # a repeated column name reads its last occurrence, as csv.DictReader does
+        at = {c: len(header) - 1 - header[::-1].index(c) for c in names}
+        rows = filter(None, reader)  # csv.reader gives [] for a blank line
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            columns = list(zip(*chunk))  # as many columns as the shortest row has
+            n = len(chunk)
+            del chunk
+            if len(columns) <= max(at.values()):
+                raise _bad_row(path, text, schema, at)
+            ts_parts.append(np.fromiter(map(int, columns[at[schema.time_col]]), np.int64, n))
+            val_parts.append(np.fromiter(map(float, columns[at[schema.value_col]]), np.float64, n))
+            if schema.machine_col:
+                ids = columns[at[schema.machine_col]]
+                for machine in dict.fromkeys(ids):
+                    code_of.setdefault(machine, len(code_of))
+                code_parts.append(np.fromiter(map(code_of.__getitem__, ids), np.intp, n))
+    except csv.Error as exc:
+        raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from exc
+    except (ValueError, OverflowError):
+        raise _bad_row(path, text, schema, at) from None
+    if not ts_parts:
         raise EmptyFile(f"{path}: no data rows")
+    ts, vals = np.concatenate(ts_parts), np.concatenate(val_parts)
+    if not np.all(np.isfinite(vals) & (vals >= 0.0)):
+        raise _bad_row(path, text, schema, at)
+    if schema.machine_col:
+        machines, codes = list(code_of), np.concatenate(code_parts)
+    else:
+        machines, codes = [schema.default_machine], np.zeros(len(ts), dtype=np.intp)
+    # rows grouped by machine in first-seen order, each machine's rows by
+    # timestamp; lexsort is stable, so equal timestamps keep file order
+    order = np.lexsort((ts, codes))
+    bounds = np.cumsum(np.bincount(codes))[:-1]
 
     traces = []
-    for machine, rows in per_machine.items():
-        rows.sort(key=lambda r: r[0])
-        ts = np.array([r[0] for r in rows], dtype=np.int64)
-        vals = np.array([r[1] for r in rows], dtype=np.float64)
-        if len(ts) > 1:
-            steps = np.diff(ts)
+    for machine, rows_of in zip(machines, np.split(order, bounds)):
+        m_ts, m_vals = ts[rows_of], vals[rows_of]
+        if len(m_ts) > 1:
+            steps = np.diff(m_ts)
             if np.any(steps == 0):
                 raise NonMonotonicTimestamps(f"{path}: duplicate timestamp for {machine}")
             base = int(steps.min())
@@ -171,11 +214,11 @@ def load_csv(path: str | Path, schema: CsvSchema, allow_gaps: bool = False) -> l
                 )
             if allow_gaps and np.any(steps > base):
                 # each tick of the full grid takes the last row at or before it
-                full_ts = np.arange(ts[0], ts[-1] + base, base, dtype=np.int64)
+                full_ts = np.arange(m_ts[0], m_ts[-1] + base, base, dtype=np.int64)
                 last_row = np.zeros(len(full_ts), dtype=np.int64)
-                last_row[(ts - ts[0]) // base] = np.arange(len(ts))
-                ts, vals = full_ts, vals[np.maximum.accumulate(last_row)]
-        traces.append(RawTrace(machine, ts, vals))
+                last_row[(m_ts - m_ts[0]) // base] = np.arange(len(m_ts))
+                m_ts, m_vals = full_ts, m_vals[np.maximum.accumulate(last_row)]
+        traces.append(RawTrace(machine, m_ts, m_vals))
     return traces
 
 
@@ -187,9 +230,8 @@ def save_csv(traces: list[RawTrace], path: str | Path, schema: CsvSchema) -> Non
         writer = csv.writer(fh)
         writer.writerow(cols)
         for trace in traces:
-            for ts, val in zip(trace.timestamps, trace.values):
-                row = [trace.machine_id] if schema.machine_col else []
-                writer.writerow(row + [int(ts), repr(float(val))])
+            ids = [itertools.repeat(trace.machine_id)] if schema.machine_col else []
+            writer.writerows(zip(*ids, trace.timestamps.tolist(), map(repr, trace.values.tolist())))
 
 
 def normalize(trace: RawTrace, tick: float = 1.0) -> WorkloadSeries:

@@ -7,15 +7,32 @@ implementations.
 
 from __future__ import annotations
 
+import csv
+import importlib.util
+import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from periocast.errors import BadLength, NonFinite, ShapeMismatch
+from periocast.errors import BadLength, EmptyFile, MalformedRow, NonFinite, ShapeMismatch
 from periocast.loss import LossConfig
 from periocast.model import SampleWindow, WindowConfig
 from periocast.neural import ParamStore, Tape, Tensor, recurrent_cell_step, scalar_attention
-from periocast.traceio import WorkloadSeries
+from periocast.traceio import CsvSchema, RawTrace, WorkloadSeries
+
+
+BENCH = Path(__file__).resolve().parent.parent / "periobench"
+
+
+def load_bench_module(name: str):
+    """`periobench/<name>.py`, imported as `periobench_<name>`."""
+    spec = importlib.util.spec_from_file_location(f"periobench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 # --- independent oracles ----------------------------------------------------
@@ -182,6 +199,47 @@ def forward_fill_loop(ts: np.ndarray, vals: np.ndarray, base: int) -> tuple[np.n
         else:
             full_vals[i] = last
     return full_ts, full_vals
+
+
+def read_rows_dictreader(path: Path, schema: CsvSchema) -> dict[str, list[tuple[int, float]]]:
+    """Each machine's (timestamp, value) rows, in file order, read one
+    `csv.DictReader` row at a time (the library's former `load_csv` reader).
+    Its error lines count data rows, so they are file lines only when the
+    file has no blank lines and no quoted field spans two lines."""
+    per_machine: dict[str, list[tuple[int, float]]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise EmptyFile(f"{path}: no header row")
+        needed = [c for c in (schema.machine_col, schema.time_col, schema.value_col) if c]
+        missing = [c for c in needed if c not in reader.fieldnames]
+        if missing:
+            raise MalformedRow(f"{path}: missing column(s) {missing}")
+        for lineno, row in enumerate(reader, start=2):
+            machine = row[schema.machine_col] if schema.machine_col else schema.default_machine
+            try:
+                ts = int(row[schema.time_col])
+                val = float(row[schema.value_col])
+            except (TypeError, ValueError) as exc:
+                raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(val):
+                raise MalformedRow(f"{path}:{lineno}: non-finite value {val!r}")
+            if val < 0.0:
+                raise MalformedRow(f"{path}:{lineno}: negative value {val!r}")
+            per_machine.setdefault(machine, []).append((ts, val))
+    return per_machine
+
+
+def save_csv_rowwise(traces: list[RawTrace], path: Path, schema: CsvSchema) -> None:
+    """`save_csv` one `writerow` at a time (the library's former writer)."""
+    cols = [c for c in (schema.machine_col, schema.time_col, schema.value_col) if c]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for trace in traces:
+            for ts, val in zip(trace.timestamps, trace.values):
+                row = [trace.machine_id] if schema.machine_col else []
+                writer.writerow(row + [int(ts), repr(float(val))])
 
 
 def denormalize(series: WorkloadSeries) -> np.ndarray:

@@ -6,14 +6,13 @@ API the benchmark drives in step: its cold-start script, and the window
 lists it hands to `evaluate`.  The fourth runs the benchmark itself, briefly
 and traced."""
 
-import importlib.util
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
+from helpers import BENCH, load_bench_module
 import periocast
 import periocast.checkpoint
 import periocast.loss
@@ -28,28 +27,9 @@ from periocast.periodicity import PeriodicityConfig, build_knowledge, detect_per
 from periocast.traceio import SyntheticSpec, generate
 from periocast.training import TrainConfig, evaluate, train
 
-BENCH = Path(__file__).resolve().parent.parent / "periobench"
-TRACER = BENCH / "tracer.py"
-
-
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-def _tracer_module():
-    return _load("periobench_tracer", TRACER)
-
-
-def _workloads_module():
-    return _load("periobench_workloads", BENCH / "workloads.py")
-
 
 def test_every_traced_name_is_where_the_tracer_looks_it_up():
-    targets = _tracer_module()._targets(periocast)
+    targets = load_bench_module("tracer")._targets(periocast)
     assert targets
     for owner, attr, _, _ in targets:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
@@ -60,7 +40,7 @@ def test_make_windows_matches_once_per_machine():
     pcfg = PeriodicityConfig(distance="dtw", dtw_band=1)
     knowledge = build_knowledge(series, detect_period(series, pcfg))
     assert knowledge is not None
-    tracer = _tracer_module().Tracer(periocast)
+    tracer = load_bench_module("tracer").Tracer(periocast)
     tracer.install()
     try:
         split = make_windows(series, knowledge, WindowConfig(i=6, m=12, j=2), pcfg)
@@ -111,6 +91,6 @@ def test_traced_benchmark_run_passes_its_checks():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    window = _workloads_module().WINDOW
+    window = load_bench_module("workloads").WINDOW
     nodes = window["layers"] + 2 * window["j"] + 9
     assert result["metrics"]["neural.tape_nodes_per_batch"]["value"] == nodes

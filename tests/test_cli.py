@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import struct
@@ -6,9 +7,10 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import save_csv_rowwise
 from periocast.cli import main
 from periocast.checkpoint import load_checkpoint, save_checkpoint
-from periocast.traceio import SCHEMAS, load_csv
+from periocast.traceio import SCHEMAS, RawTrace, SyntheticSpec, generate, load_csv
 
 TINY_MODEL = [
     "--set", "model.i=6", "--set", "model.m=12", "--set", "model.j=2",
@@ -50,6 +52,20 @@ def test_generate_writes_loadable_csv(data_csv):
     assert recorded["command"] == "generate"
     assert recorded["machines"] == 2
     assert recorded["seed"] == 5
+
+
+def test_generate_bytes_match_rowwise_writer(tmp_path):
+    out = tmp_path / "g.csv"
+    assert main(["generate", "--out", str(out), "--machines", "3", "--length", "50",
+                 "--period", "10", "--amplitude", "0.3", "--noise-std", "0.05",
+                 "--burst-rate", "0.05", "--burst-height", "0.4", "--seed", "11"]) == 0
+    recipe = SyntheticSpec(length=50, period=10, amplitude=0.3, noise_std=0.05,
+                           burst_rate=0.05, burst_height=0.4)
+    traces = [RawTrace(f"synth-{k:03d}", np.arange(50),
+                       generate(dataclasses.replace(recipe, seed=11 + k)).values)
+              for k in range(3)]
+    save_csv_rowwise(traces, tmp_path / "ref.csv", SCHEMAS["generic"])
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_generate_deterministic(tmp_path):
@@ -286,6 +302,20 @@ def test_bad_trace_value_exits_2_with_file_and_line(tmp_path, capsys, schema, va
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{bad}:4: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    (b"a,0,0.5\n\n\na,1,0.6\na,2,-0.25\n", 6, "negative value -0.25"),
+    (b'a,0,0.5,"two\nlines"\na,1,0.6,x\na,2\n', 5, "no 'value' field"),
+], ids=["after-blank-lines", "short-row-after-multiline-field"])
+def test_bad_row_names_its_file_line(tmp_path, capsys, rows, line, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"machine_id,timestamp,value,note\n" + rows)
+    rc = main(["detect-period", "--data", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:{line}: {message}" in err
     assert "Traceback" not in err
 
 

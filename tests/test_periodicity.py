@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dtw_exhaustive, dtw_reference, verify_bound
+from periocast import periodicity
 from periocast.errors import BandTooNarrow, DegenerateComponent, SeriesTooShort
 from periocast.periodicity import (
     SENTINEL,
@@ -246,6 +247,37 @@ def test_stacked_match_equals_per_window_match(distance, band, p):
             assert lanes.shape == (9, p)
             for r, a in np.ndindex(9, p):
                 assert lanes[r, a] == dtw_distance(segments[a], stack[r], band)
+
+
+@pytest.mark.parametrize("distance, lanes", [("mse", periodicity._MSE_LANES), ("dtw", periodicity._DTW_LANES)])
+def test_stacked_match_across_blocks(distance, lanes):
+    # three full blocks and a short fourth: every row matches exactly as it
+    # does alone
+    p, width = 7, 10
+    block = lanes // p
+    n = 3 * block + block // 3
+    rng = np.random.default_rng([n, width])
+    template = rng.uniform(size=p)
+    know = PeriodKnowledge("m", template)
+    cfg = PeriodicityConfig(distance=distance, dtw_band=2)
+    stack = rng.uniform(size=(n, width))
+    got = match(know, stack, 3, cfg)
+    segments = template[(np.arange(p)[:, None] + np.arange(width)) % p]
+    if distance == "mse":
+        ref = np.mean((segments[None] - stack[:, None]) ** 2, axis=2)
+        assert np.array_equal(got.t_a, np.argmin(ref, axis=1))
+        assert got.distance == pytest.approx(ref.min(axis=1), rel=1e-12, abs=1e-15)
+    assert np.array_equal(got.y_period, template[(got.t_a[:, None] + width + np.arange(3)) % p])
+    edges = {e + d for e in range(block, n, block) for d in (-1, 0)}
+    for r in range(n):
+        one = match(know, stack[r], 3, cfg)
+        assert one.t_a == got.t_a[r]
+        assert one.distance == got.distance[r]
+        assert np.array_equal(one.y_period, got.y_period[r])
+        if distance == "dtw" and r in edges:
+            ref = [dtw_reference(seg, stack[r], 2) for seg in segments]
+            assert one.t_a == int(np.argmin(ref))
+            assert one.distance == pytest.approx(min(ref), rel=1e-12, abs=1e-15)
 
 
 def test_match_dtw_agrees_on_exact_alignment():

@@ -1,12 +1,15 @@
+import csv
+
 import numpy as np
 import pytest
 
-from helpers import denormalize, forward_fill_loop
+from helpers import denormalize, forward_fill_loop, load_bench_module, read_rows_dictreader, save_csv_rowwise
 from periocast.errors import (
     EmptyFile,
     MalformedRow,
     NonMonotonicTimestamps,
 )
+from periocast import traceio
 from periocast.rng import Prng
 from periocast.traceio import (
     SCHEMAS,
@@ -216,6 +219,193 @@ def test_load_csv_gap_forward_fill_matches_loop(tmp_path, present):
     assert len(trace) == present[-1] + 1
 
 
+def test_load_csv_error_names_the_file_line(tmp_path):
+    # blank lines and a quoted field over two lines advance the file line
+    # but not the row count
+    text = ("machine_id,timestamp,value,note\n"
+            "a,0,1.5,plain\n"
+            "\n"
+            "\n"
+            'a,1,2.5,"two\nlines"\n'
+            "a,2,-0.5,plain\n")
+    p = _write(tmp_path, text)
+    with pytest.raises(MalformedRow, match=rf"^{p}:7: negative value -0\.5$"):
+        load_csv(p, SCHEMAS["generic"])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("cell, message", [(b"-5", "negative value"), (b"0.\xff5", "not UTF-8")],
+                         ids=["negative", "not-utf8"])
+def test_load_csv_error_line_under_every_line_ending(tmp_path, newline, cell, message):
+    nl = newline.encode()
+    p = tmp_path / "trace.csv"
+    p.write_bytes(nl.join([b"machine_id,timestamp,value", b"a,0,1", b"a,1," + cell, b"a,2,3", b""]))
+    with pytest.raises(MalformedRow, match=rf"^{p}:3: {message}"):
+        load_csv(p, SCHEMAS["generic"])
+
+
+def test_load_csv_error_names_the_line_a_row_starts_on(tmp_path):
+    text = 'machine_id,timestamp,value,note\na,0,1,x\n\na,1,oops,"spans\nthree\nlines"\na,2,3,x\n'
+    p = _write(tmp_path, text)
+    with pytest.raises(MalformedRow, match=rf"^{p}:4: could not convert string to float: 'oops'$"):
+        load_csv(p, SCHEMAS["generic"])
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("a,0,1\na,1\na,2,3\n", 3, "no 'value' field"),
+    ("a,0,1\na\na,2,3\n", 3, "no 'timestamp' field"),
+    ("a,0,-1\na,x,1\n", 2, "negative value -1.0"),     # the first bad row wins,
+    ("a,0,1\na,x,-1\n", 3, "invalid literal for int"),  # whichever check it fails
+    ("a,0,1\na,1,nan\n", 3, "non-finite value nan"),
+    ("a,0,1\na,1,-inf\n", 3, "non-finite value -inf"),
+    (f"a,0,1\na,{2 ** 63},1\n", 3, f"timestamp {2 ** 63} outside the int64 range"),
+], ids=["no-value", "no-timestamp", "value-first", "timestamp-first", "nan", "minus-inf", "int64"])
+def test_load_csv_bad_row_messages(tmp_path, rows, line, message):
+    p = _write(tmp_path, "machine_id,timestamp,value\n" + rows)
+    with pytest.raises(MalformedRow) as err:
+        load_csv(p, SCHEMAS["generic"])
+    assert str(err.value).startswith(f"{p}:{line}: {message}")
+
+
+def test_load_csv_csv_error_is_malformed_row(tmp_path):
+    p = _write(tmp_path, "machine_id,timestamp,value\na,0,1\na,1," + "9" * 200_000 + "\n")
+    with pytest.raises(MalformedRow, match=rf"^{p}:3: field larger than field limit"):
+        load_csv(p, SCHEMAS["generic"])
+
+
+# --- the columnar reader against the former DictReader one --------------------
+
+_IDS = ["m0", "host,7", 'q"x', "αβ", "m 3", "m5"]
+
+
+def _cell(rng, text: str) -> str:
+    """A CSV cell, quoted on some draws and whenever it has to be."""
+    if any(ch in text for ch in ',"\r\n') or rng.uniform() < 0.2:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _number(rng, v) -> str:
+    styles = [repr(v), f"{v:.3f}", f"{v:.6e}", f" {v!r}"]
+    if isinstance(v, int):
+        styles = [str(v), f" {v} ", f"{v:+d}"]
+    return styles[rng.integers(len(styles))]
+
+
+def _random_trace_csv(rng, schema, allow_gaps: bool, plain: bool) -> str:
+    """Interleaved machines on their own grids, rows shuffled, in `schema`,
+    with extra columns, quoted cells and (unless `plain`) blank lines and
+    quoted fields spanning lines."""
+    n_machines = 1 if schema.machine_col is None else int(rng.integers(1, 5))
+    rows = []
+    for machine in rng.choice(_IDS, size=n_machines, replace=False):
+        step, start = int(rng.choice([1, 5, 60])), int(rng.integers(-50, 1000))
+        ticks = np.arange(int(rng.integers(2, 26)))
+        if allow_gaps and len(ticks) > 3:
+            keep = rng.uniform(size=len(ticks)) < 0.7
+            keep[[0, 1, -1]] = True
+            ticks = ticks[keep]
+        for t in ticks:
+            value = float(rng.choice([0.0, 1.0, rng.uniform(0, 100), rng.uniform(0, 1e-5)]))
+            rows.append({schema.machine_col: str(machine), schema.time_col: start + step * int(t),
+                         schema.value_col: value})
+    rng.shuffle(rows)
+    header = [c for c in (schema.machine_col, schema.time_col, schema.value_col) if c]
+    for extra in rng.choice(["note", "cpu", "x y"], size=int(rng.integers(0, 3)), replace=False):
+        header.insert(int(rng.integers(len(header) + 1)), str(extra))
+    notes = ["", "ok", "a,b", 'say "hi"'] + ([] if plain else ["two\nlines", "cr\r\nlf"])
+    newline = "\r\n" if rng.uniform() < 0.5 else "\n"
+    lines = [",".join(_cell(rng, c) for c in header)]
+    for row in rows:
+        cells = []
+        for c in header:
+            if c == schema.time_col or c == schema.value_col:
+                cells.append(_cell(rng, _number(rng, row[c])))
+            elif c == schema.machine_col:
+                cells.append(_cell(rng, row[c]))
+            else:
+                cells.append(_cell(rng, str(rng.choice(notes))))
+        lines.append(",".join(cells))
+        while not plain and rng.uniform() < 0.15:
+            lines.append("")
+    return newline.join(lines) + newline
+
+
+def _traces_by_dictreader(path, schema, allow_gaps: bool):
+    out = []
+    for machine, rows in read_rows_dictreader(path, schema).items():
+        rows.sort(key=lambda r: r[0])
+        ts = np.array([r[0] for r in rows], dtype=np.int64)
+        vals = np.array([r[1] for r in rows], dtype=np.float64)
+        if allow_gaps:
+            ts, vals = forward_fill_loop(ts, vals, int(np.diff(ts).min()))
+        out.append((machine, ts, vals))
+    return out
+
+
+def _assert_same_traces(got, want):
+    assert [t.machine_id for t in got] == [m for m, _, _ in want]
+    for trace, (_, ts, vals) in zip(got, want):
+        assert trace.timestamps.dtype == np.int64 and trace.values.dtype == np.float64
+        assert np.array_equal(trace.timestamps, ts)
+        assert trace.values.tobytes() == vals.tobytes()
+
+
+def test_load_csv_repeated_column_reads_the_last(tmp_path):
+    p = _write(tmp_path, "machine_id,value,timestamp,value\na,oops,0,1.5\na,-3,1,2.5\n")
+    (trace,) = load_csv(p, SCHEMAS["generic"])
+    assert np.array_equal(trace.values, [1.5, 2.5])
+    _assert_same_traces([trace], _traces_by_dictreader(p, SCHEMAS["generic"], False))
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_load_csv_matches_dictreader(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng([seed, 12])
+    if seed % 2:  # machines and blank rows across blocks of a few rows
+        monkeypatch.setattr(traceio, "_CHUNK_ROWS", int(rng.integers(1, 8)))
+    schema = SCHEMAS[sorted(SCHEMAS)[seed % 4]]
+    allow_gaps = bool(seed // 4 % 2)
+    p = tmp_path / "trace.csv"
+    p.write_bytes(_random_trace_csv(rng, schema, allow_gaps, plain=False).encode("utf-8"))
+    _assert_same_traces(load_csv(p, schema, allow_gaps=allow_gaps),
+                        _traces_by_dictreader(p, schema, allow_gaps))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_load_csv_errors_match_dictreader(tmp_path, monkeypatch, seed):
+    # one or two bad cells in a file with no blank or multi-line rows, where
+    # the former reader's row count is the file line
+    rng = np.random.default_rng([seed, 13])
+    if seed % 2:
+        monkeypatch.setattr(traceio, "_CHUNK_ROWS", int(rng.integers(1, 8)))
+    schema = SCHEMAS[sorted(SCHEMAS)[seed % 4]]
+    lines = _random_trace_csv(rng, schema, False, plain=True).split("\n")
+    header = next(csv.reader([lines[0]]))
+    for _ in range(int(rng.integers(1, 3))):
+        k = int(rng.integers(1, len(lines) - 1))
+        row = next(csv.reader([lines[k]]))
+        col = schema.time_col if rng.uniform() < 0.3 else schema.value_col
+        row[len(header) - 1 - header[::-1].index(col)] = str(rng.choice(["oops", "-2.5", "nan", "inf", "1.5.2"]))
+        lines[k] = ",".join(_cell(rng, c) for c in row)
+    p = tmp_path / "trace.csv"
+    p.write_bytes("\n".join(lines).encode("utf-8"))
+    with pytest.raises(MalformedRow) as want:
+        read_rows_dictreader(p, schema)
+    with pytest.raises(MalformedRow) as got:
+        load_csv(p, schema)
+    assert str(got.value) == str(want.value)
+
+
+def test_load_csv_matches_dictreader_on_the_benchmark_fleet(tmp_path):
+    wl = load_bench_module("workloads")
+    spec = wl.WORKLOADS["fleet-serve"]
+    for machine in wl.fleet(spec, spec.kinds, spec.length, seed=1):
+        p = tmp_path / f"{machine.machine_id}.csv"
+        wl.write_csv(machine, p)
+        _assert_same_traces(load_csv(p, SCHEMAS["generic"]),
+                            _traces_by_dictreader(p, SCHEMAS["generic"], False))
+
+
 def test_load_csv_single_machine_schema(tmp_path):
     p = _write(tmp_path, "timestamp,value\n0,5\n1,6\n")
     schema = CsvSchema(machine_col=None, time_col="timestamp",
@@ -244,6 +434,19 @@ def test_save_load_round_trip(tmp_path):
     for orig, rt in zip(traces, back):
         assert np.array_equal(orig.timestamps, rt.timestamps)
         assert np.array_equal(orig.values, rt.values)
+
+
+@pytest.mark.parametrize("schema", ["generic", "dinda"])
+def test_save_csv_bytes_match_rowwise_writer(tmp_path, schema):
+    rng = np.random.default_rng(3)
+    odd = np.array([0.0, 1.0, 5e-324, 1e-7, 123456789.125, 1e300, 0.1 + 0.2, 2.0 ** 53])
+    traces = [RawTrace("m1", np.arange(8) * 60 - 120, odd),
+              RawTrace('host,"7"', np.arange(40) + 10 ** 12, rng.uniform(0, 100, 40))]
+    if schema == "dinda":
+        traces = traces[1:]
+    save_csv(traces, tmp_path / "new.csv", SCHEMAS[schema])
+    save_csv_rowwise(traces, tmp_path / "ref.csv", SCHEMAS[schema])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # --- validation and normalization -------------------------------------------
