@@ -2,7 +2,8 @@
 
 Architecture, per window:
 
-  * a stacked gated recurrent encoder reads the recent `i` ticks;
+  * a stacked gated recurrent encoder reads the recent `i` ticks, every
+    layer in one wavefront op (`neural.recurrent_stack`);
   * the longer context of `m` ticks is downsampled (trailing window, every
     `step`-th tick) and passed through parameter-free self-attention;
   * cross-attention with the recent ticks as queries and the downsampled
@@ -39,7 +40,7 @@ from .neural import (
     linear,
     pair_attention,
     recurrent_cell_step,
-    recurrent_sequence,
+    recurrent_stack,
     scalar_attention,
     autoencoder,
     add_autoencoder_slots,
@@ -262,18 +263,14 @@ def encode(tape: Tape, store: ParamStore, cfg: WindowConfig,
 
     `x_short` is (batch, i), `x_long` is (batch, m).  Returns the top layer's
     final hidden state (batch, hidden) and the self-attended downsampled long
-    context (batch, ceil(ds_window / ds_step)).  Each layer is one
-    `recurrent_sequence` over the time-major output of the layer below; the
-    first reads the recent window transposed to one tick per row block.
+    context (batch, ceil(ds_window / ds_step)).  The whole stack is one
+    `recurrent_stack` over the recent window transposed to time-major.
     The summary has no parameters, so it is plain numpy, off the tape.
     """
     if x_short.cols != cfg.i or x_long.cols != cfg.m:
         raise ShapeMismatch("encode: window widths do not match the config")
-    seq = Tensor(x_short.data.T.reshape(-1, 1))
-    for layer in range(cfg.layers):
-        seq, h_last = recurrent_sequence(
-            tape, seq, cfg.i, store[f"enc.l{layer}.wx"], store[f"enc.l{layer}.wh"],
-            store[f"enc.l{layer}.b"], keep_seq=layer < cfg.layers - 1)
+    h_last = recurrent_stack(tape, x_short.data.T[:, :, None], [
+        tuple(store[f"enc.l{layer}.{name}"] for name in ("wx", "wh", "b")) for layer in range(cfg.layers)])
     ds = x_long.data[:, cfg.m - cfg.effective_ds_window():: cfg.ds_step]
     return h_last, scalar_attention(ds, ds)
 

@@ -2,9 +2,10 @@
 
 Everything the forecaster learns through is built from a handful of
 primitives, each with an exact hand-written backward pass: affine maps, a
-gated recurrent cell, one op that runs that cell over a whole sequence,
-attention over two candidates and a one-unit-bottleneck autoencoder.  The
-single step and the sequence op share one copy of the cell's math.
+gated recurrent cell, one op that runs a stack of those cells over a whole
+sequence as a wavefront, attention over two candidates and a
+one-unit-bottleneck autoencoder.  The single step and the stack share one
+copy of the cell's math.
 
 Ops execute eagerly and append a closure to a `Tape`; `Tape.backward()` runs
 the closures in reverse order, accumulating into each tensor's `grad`
@@ -18,7 +19,8 @@ features; data is row-major float64.
 from __future__ import annotations
 
 import functools
-from itertools import cycle, islice
+import math
+from itertools import accumulate, cycle, islice
 
 import numpy as np
 
@@ -353,15 +355,23 @@ def _squash(zs: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return zs
 
 
-def _cell_state(s: np.ndarray, c_prev: np.ndarray, c: np.ndarray, tc: np.ndarray, h: np.ndarray) -> None:
-    """From the gate activations `s` of one step and the previous cell state,
-    write the new cell state c = f * c_prev + i * g, tc = tanh(c) and the new
-    hidden state h = o * tc."""
-    hidden = c.shape[1]
-    np.multiply(s[:, hidden: 2 * hidden], c_prev, out=c)
-    c += s[:, :hidden] * s[:, 2 * hidden: 3 * hidden]
+def _quarters(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the input, forget, cell and output quarters of the last axis
+    of a gate slab `s`."""
+    hidden = s.shape[-1] // 4
+    return tuple(s[..., q * hidden: (q + 1) * hidden] for q in range(4))
+
+
+def _cell_state(i: np.ndarray, f: np.ndarray, g: np.ndarray, o: np.ndarray, c_prev: np.ndarray,
+                c: np.ndarray, tc: np.ndarray, h: np.ndarray) -> None:
+    """From the gate activations i, f, g, o of one step and the previous cell
+    state, write the new cell state c = f * c_prev + i * g, tc = tanh(c) and
+    the new hidden state h = o * tc."""
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=tc)
+    c += tc
     np.tanh(c, out=tc)
-    np.multiply(s[:, 3 * hidden:], tc, out=h)
+    np.multiply(o, tc, out=h)
 
 
 def _cell_dz(dh: np.ndarray, dc: np.ndarray, s: np.ndarray, c_prev: np.ndarray,
@@ -374,12 +384,8 @@ def _cell_dz(dh: np.ndarray, dc: np.ndarray, s: np.ndarray, c_prev: np.ndarray,
     scale^2 - (s - shift)^2 is s * (1 - s) on the sigmoid quarters and
     1 - g^2 on the tanh quarter.
     """
-    hidden = dh.shape[1]
-    scale, shift = _gate_rows(hidden)
-    i = s[:, :hidden]
-    f = s[:, hidden: 2 * hidden]
-    g = s[:, 2 * hidden: 3 * hidden]
-    o = s[:, 3 * hidden:]
+    scale, shift = _gate_rows(dh.shape[1])
+    i, f, g, o = _quarters(s)
     slope = s - shift
     slope *= slope
     np.subtract(scale * scale, slope, out=slope)
@@ -415,7 +421,7 @@ def recurrent_cell_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
     _check_cell(x.cols, h.cols, wx, wh, b)
     s = x.data @ wx.data + h.data @ wh.data + b.data
     c_new, tc, h_new = np.empty((3, h.rows, h.cols))
-    _cell_state(gates(s, out=s), c.data, c_new, tc, h_new)
+    _cell_state(*_quarters(gates(s, out=s)), c.data, c_new, tc, h_new)
     h_out = Tensor(h_new)
     c_out = Tensor(c_new)
     if tape.recording:
@@ -440,74 +446,119 @@ def recurrent_cell_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
     return h_out, c_out
 
 
-def recurrent_sequence(tape: Tape, xs: Tensor, steps: int, wx: Tensor, wh: Tensor, b: Tensor,
-                       keep_seq: bool = True) -> tuple[Tensor | None, Tensor]:
-    """One `recurrent_cell_step` layer over a whole sequence, as one tape node.
+def _slabs(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Float arrays of the given shapes, laid end to end in one allocation.
 
-    `xs` holds the inputs time-major, (steps * batch, d_in): rows
-    t * batch ... (t + 1) * batch - 1 are tick t.  The state starts at zero.
-    Returns the hidden sequence in the same layout, or None when `keep_seq`
-    is false, and the final hidden state (batch, hidden).
+    A training step's recording slabs are megabytes, each above the
+    allocator's initial mmap threshold.  Freed one by one, they raised its
+    trim threshold to less than a step frees, so in some heap layouts every
+    step handed pages back to the system and faulted them in again.  One
+    block of their total size raises it past a step's churn."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = np.empty(sum(sizes))
+    return [buf[end - size: end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, accumulate(sizes))]
 
-    The loop runs tick by tick over preallocated slabs.  While the tape
-    records, every tick's gates and states are kept for the backward;
-    otherwise only the hidden sequence, if `keep_seq`, and the rest lives in
-    one or two rolling rows.  The backward steps only the recurrence
-    (dh <- dz @ wh.T and the cell-state gradient), writing each tick's dz
-    over its gate activations, then forms the gradients of the weights and
-    of `xs` with one product or sum each over all ticks.
+
+def recurrent_stack(tape: Tape, xs: np.ndarray, cells: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+    """Stacked `recurrent_cell_step` layers over a whole sequence, as one
+    tape node.
+
+    `xs` is data, time-major (steps, batch, d_in), and gets no gradient.
+    `cells` holds each layer's (wx, wh, b), bottom first; layer l > 0 reads
+    the hidden sequence of layer l - 1, and every state starts at zero.
+    Returns the top layer's final hidden state (batch, hidden).
+
+    The layers run as a wavefront: step k runs layer l on tick k - l, so a
+    step reads only the states the step before wrote.  Step k's row
+    [1, x_k, h_0 ... h_{L-1}] times one stacked weight gives every layer's
+    gates.  The weight holds the biases, layer 0's wx, and block-bidiagonal
+    blocks (h_l feeds layer l through wh_l and layer l + 1 through
+    wx_{l+1}); its columns are gate-major, all layers' input gates first,
+    so all states side by side update as one cell of width
+    layers * hidden.  Layers that have not started are put back to the zero
+    state after each ramp-up step; finished layers run on unread.  While
+    the tape records, every step's row, gates and cell states are kept;
+    otherwise the gates and cell states live in rolling rows.  Rows, gates
+    and cell states share one allocation (`_slabs`).
+
+    The backward is the reverse wavefront: per step one dz pass over all
+    layers, written over the gates, and dz @ W.T gives each layer both its
+    recurrent gradient and the gradient of the output of the layer below.
+    Ramp-up cells get none.  The weight gradients come from one product of
+    all rows with all dz, scattered into the slots.
     """
-    hidden = wh.rows
-    if steps < 1 or xs.rows % steps:
-        raise ShapeMismatch(f"sequence: {xs.rows} rows do not split into {steps} ticks")
-    _check_cell(xs.cols, hidden, wx, wh, b)
-    batch = xs.rows // steps
+    if xs.ndim != 3:
+        raise ShapeMismatch(f"stack: inputs are (steps, batch, d_in), got shape {xs.shape}")
+    steps, batch, d_in = xs.shape
+    if steps < 1 or not cells:
+        raise ShapeMismatch("stack: needs at least one tick and one layer")
+    layers, hidden = len(cells), cells[0][1].rows
     record = tape.recording
-    # The weights pre-multiplied by the gate scale, a power of two, give
-    # z * scale exactly, so each tick only squashes.
-    scale, shift = _gate_rows(hidden)
-    wxs, whs, bs = wx.data * scale, wh.data * scale, b.data * scale
-    # Row 0 of hs and cs is the zero initial state.  Tick t reads row t and
-    # writes row t + 1; a one- or two-row slab is reused in turn.
-    hs = np.empty((steps + 1 if record or keep_seq else 2, batch, hidden))
-    cs = np.empty((steps + 1 if record else 2, batch, hidden))
-    tcs = np.empty((steps if record else 1, batch, hidden))
-    ss = np.empty((steps if record else 1, batch, 4 * hidden))
-    hs[0] = 0.0
+    n = steps + layers - 1
+    top = 1 + d_in
+    width = layers * hidden
+    shape = (top + width, 4, layers, hidden)
+    # Row 0 of the weight is the bias, rows 1 ... top - 1 layer 0's input
+    # and rows top + l * hidden ... layer l's state; column
+    # (q * layers + l) * hidden + u is unit u of layer l's gate quarter q.
+    w = np.zeros(shape)
+    blocks = []
+    for layer, (wx, wh, b) in enumerate(cells):
+        _check_cell(d_in if layer == 0 else hidden, hidden, wx, wh, b)
+        state = top + layer * hidden
+        blocks += [(b, slice(0, 1), layer),
+                   (wx, slice(1, top) if layer == 0 else slice(state - hidden, state), layer),
+                   (wh, slice(state, state + hidden), layer)]
+    for slot, rs, layer in blocks:
+        w[rs, :, layer] = slot.data.reshape(-1, 4, hidden)
+    w = w.reshape(top + width, 4 * width)
+    scale, shift = _gate_rows(width)
+    # Pre-multiplied by the gate scale, a power of two, the weight gives
+    # z * scale exactly, so each step only squashes.
+    ws = w * scale
+    # Step k reads row k and writes its hidden states into row k + 1; after
+    # the last tick layer 0 reads zeros.
+    rows, zs, cs, tcs = _slabs(
+        (n + 1, batch, top + width), (n if record else 1, batch, 4 * width),
+        (n + 1 if record else 2, batch, width), (n if record else 1, batch, width))
+    rows[:, :, 0] = 1.0
+    rows[:steps, :, 1:top] = xs
+    rows[steps:, :, 1:top] = 0.0
+    rows[0, :, top:] = 0.0
     cs[0] = 0.0
-    hz = np.empty((batch, 4 * hidden))
-    for x, s, h_prev, h, c_prev, c, tc in zip(
-            xs.data.reshape(steps, batch, xs.cols), cycle(ss), cycle(hs), islice(cycle(hs), 1, None),
-            cycle(cs), islice(cycle(cs), 1, None), cycle(tcs)):
-        np.matmul(h_prev, whs, out=s)
-        s += np.matmul(x, wxs, out=hz)
-        s += bs
-        _cell_state(_squash(s, scale, shift), c_prev, c, tc, h)
-    seq = Tensor(hs[1:].reshape(steps * batch, hidden)) if record or keep_seq else None
-    h_last = Tensor(hs[steps % len(hs)])
+    hs = rows[1:, :, top:]
+    for k, (row, z, i, f, g, o, c_prev, c, tc, h) in enumerate(zip(
+            rows, cycle(zs), *map(cycle, _quarters(zs)), cycle(cs), islice(cycle(cs), 1, None),
+            cycle(tcs), hs)):
+        np.matmul(row, ws, out=z)
+        _squash(z, scale, shift)
+        _cell_state(i, f, g, o, c_prev, c, tc, h)
+        if k < layers - 1:
+            h[:, (k + 1) * hidden:] = 0.0
+            c[:, (k + 1) * hidden:] = 0.0
+    h_last = Tensor(hs[-1, :, width - hidden:])
     if record:
-        seq.grad = np.zeros_like(seq.data)
         h_last.grad = np.zeros_like(h_last.data)
 
         def _back():
-            dhs = seq.grad.reshape(steps, batch, hidden)
-            dhs[-1] += h_last.grad
-            dc = np.zeros((batch, hidden))
-            for t in range(steps - 1, -1, -1):
-                dc = _cell_dz(dhs[t], dc, ss[t], cs[t], tcs[t])
-                if t:
-                    dhs[t - 1] += ss[t] @ wh.data.T
-            dz = ss.reshape(steps * batch, 4 * hidden)
-            if wx.grad is not None:
-                wx.grad += xs.data.T @ dz
-            if wh.grad is not None:
-                wh.grad += hs[:-1].reshape(steps * batch, hidden).T @ dz
-            if b.grad is not None:
-                b.grad += dz.sum(axis=0, keepdims=True)
-            if xs.grad is not None:
-                xs.grad += dz @ wx.data.T
+            w_state = w[top:].T
+            dh = np.zeros((batch, width))
+            dh[:, width - hidden:] = h_last.grad
+            dc = np.zeros_like(dh)
+            for k in range(n - 1, -1, -1):
+                if k < layers - 1:
+                    dh[:, (k + 1) * hidden:] = 0.0
+                    dc[:, (k + 1) * hidden:] = 0.0
+                dc = _cell_dz(dh, dc, zs[k], cs[k], tcs[k])  # zs[k] now holds dz
+                if k:
+                    np.matmul(zs[k], w_state, out=dh)
+            dw = (rows[:n].reshape(n * batch, -1).T @ zs.reshape(n * batch, -1)).reshape(shape)
+            for slot, rs, layer in blocks:
+                if slot.grad is not None:
+                    slot.grad += dw[rs, :, layer].reshape(slot.grad.shape)
         tape.record(_back)
-    return seq if keep_seq else None, h_last
+    return h_last
 
 
 def autoencoder(tape: Tape, x: Tensor, store: ParamStore, prefix: str) -> Tensor:

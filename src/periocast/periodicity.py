@@ -308,16 +308,22 @@ def dtw_distance(a, b, band: int | None = None):
     lanes = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     a = np.broadcast_to(a, lanes + (n,)).reshape(-1, n).T.copy()  # (n, lanes), lanes contiguous
     b = np.broadcast_to(b, lanes + (m,)).reshape(-1, m).T.copy()  # (m, lanes), lanes contiguous
-    prev = np.full((m + 1, a.shape[1]), math.inf)
+    # Two rows of the cost table, swapped every tick.  Tick i reads entries
+    # lo ... hi of the row before and writes lo + 1 ... hi.  The band only
+    # moves up, so entry lo may hold a value from two ticks back and is
+    # reset; entries above hi have never been written and are still inf.
+    prev, cur = np.full((2, m + 1, a.shape[1]), math.inf)
     prev[0] = 0.0
+    cost = np.empty_like(b)
     for i in range(n):
         lo, hi = (0, m) if band is None else (max(0, i - band), min(m, i + band + 1))
-        cost = np.square(a[i] - b[lo:hi])
-        cur = np.full_like(prev, math.inf)
+        np.subtract(a[i], b[lo:hi], out=cost[lo:hi])
+        np.square(cost[lo:hi], out=cost[lo:hi])
+        cur[lo] = math.inf
         np.minimum(prev[lo + 1: hi + 1], prev[lo:hi], out=cur[lo + 1: hi + 1])
         for jj in range(lo + 1, hi + 1):  # cur[jj] = cost + min(up, diagonal, left)
             np.minimum(cur[jj], cur[jj - 1], out=cur[jj])
-            cur[jj] += cost[jj - 1 - lo]
-        prev = cur
+            cur[jj] += cost[jj - 1]
+        prev, cur = cur, prev
     out = prev[m].reshape(lanes)
     return float(out) if out.ndim == 0 else out

@@ -12,6 +12,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass
+from itertools import cycle, islice
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from periocast.errors import BadLength, EmptyFile, MalformedRow, NonFinite, ShapeMismatch
 from periocast.loss import LossConfig
 from periocast.model import SampleWindow, WindowConfig
-from periocast.neural import ParamStore, Tape, Tensor, recurrent_cell_step, scalar_attention
+from periocast.neural import (ParamStore, Tape, Tensor, _cell_dz, _cell_state, _check_cell, _gate_rows,
+                              _quarters, _squash, recurrent_cell_step, scalar_attention)
 from periocast.traceio import CsvSchema, RawTrace, WorkloadSeries
 
 
@@ -174,13 +176,85 @@ def encode_per_tick(tape: Tape, store: ParamStore, cfg: WindowConfig,
                     x_short: Tensor, x_long: Tensor) -> tuple[Tensor, np.ndarray]:
     """`model.encode` with one `recurrent_cell_step` per layer and tick, each
     tick entering as a column view of `x_short` (the library's former
-    encoder): the reference for `recurrent_sequence`."""
+    encoder): the reference for `recurrent_stack`."""
     seq = [Tensor(x_short.data[:, t: t + 1]) for t in range(cfg.i)]
     for layer in range(cfg.layers):
         seq = cell_per_tick(tape, seq, store[f"enc.l{layer}.wx"], store[f"enc.l{layer}.wh"],
                             store[f"enc.l{layer}.b"])
     ds = x_long.data[:, cfg.m - cfg.effective_ds_window():: cfg.ds_step]
     return seq[-1], scalar_attention(ds, ds)
+
+
+def recurrent_sequence(tape: Tape, xs: Tensor, steps: int, wx: Tensor, wh: Tensor, b: Tensor,
+                       keep_seq: bool = True) -> tuple[Tensor | None, Tensor]:
+    """One `recurrent_cell_step` layer over a whole sequence, as one tape node
+    (the library's former per-layer encoder op): the reference for
+    `recurrent_stack`.
+
+    `xs` holds the inputs time-major, (steps * batch, d_in): rows
+    t * batch ... (t + 1) * batch - 1 are tick t.  The state starts at zero.
+    Returns the hidden sequence in the same layout, or None when `keep_seq`
+    is false, and the final hidden state (batch, hidden).
+
+    The loop runs tick by tick over preallocated slabs.  While the tape
+    records, every tick's gates and states are kept for the backward;
+    otherwise only the hidden sequence, if `keep_seq`, and the rest lives in
+    one or two rolling rows.  The backward steps only the recurrence
+    (dh <- dz @ wh.T and the cell-state gradient), writing each tick's dz
+    over its gate activations, then forms the gradients of the weights and
+    of `xs` with one product or sum each over all ticks.
+    """
+    hidden = wh.rows
+    if steps < 1 or xs.rows % steps:
+        raise ShapeMismatch(f"sequence: {xs.rows} rows do not split into {steps} ticks")
+    _check_cell(xs.cols, hidden, wx, wh, b)
+    batch = xs.rows // steps
+    record = tape.recording
+    # The weights pre-multiplied by the gate scale, a power of two, give
+    # z * scale exactly, so each tick only squashes.
+    scale, shift = _gate_rows(hidden)
+    wxs, whs, bs = wx.data * scale, wh.data * scale, b.data * scale
+    # Row 0 of hs and cs is the zero initial state.  Tick t reads row t and
+    # writes row t + 1; a one- or two-row slab is reused in turn.
+    hs = np.empty((steps + 1 if record or keep_seq else 2, batch, hidden))
+    cs = np.empty((steps + 1 if record else 2, batch, hidden))
+    tcs = np.empty((steps if record else 1, batch, hidden))
+    ss = np.empty((steps if record else 1, batch, 4 * hidden))
+    hs[0] = 0.0
+    cs[0] = 0.0
+    hz = np.empty((batch, 4 * hidden))
+    for x, s, h_prev, h, c_prev, c, tc in zip(
+            xs.data.reshape(steps, batch, xs.cols), cycle(ss), cycle(hs), islice(cycle(hs), 1, None),
+            cycle(cs), islice(cycle(cs), 1, None), cycle(tcs)):
+        np.matmul(h_prev, whs, out=s)
+        s += np.matmul(x, wxs, out=hz)
+        s += bs
+        _cell_state(*_quarters(_squash(s, scale, shift)), c_prev, c, tc, h)
+    seq = Tensor(hs[1:].reshape(steps * batch, hidden)) if record or keep_seq else None
+    h_last = Tensor(hs[steps % len(hs)])
+    if record:
+        seq.grad = np.zeros_like(seq.data)
+        h_last.grad = np.zeros_like(h_last.data)
+
+        def _back():
+            dhs = seq.grad.reshape(steps, batch, hidden)
+            dhs[-1] += h_last.grad
+            dc = np.zeros((batch, hidden))
+            for t in range(steps - 1, -1, -1):
+                dc = _cell_dz(dhs[t], dc, ss[t], cs[t], tcs[t])
+                if t:
+                    dhs[t - 1] += ss[t] @ wh.data.T
+            dz = ss.reshape(steps * batch, 4 * hidden)
+            if wx.grad is not None:
+                wx.grad += xs.data.T @ dz
+            if wh.grad is not None:
+                wh.grad += hs[:-1].reshape(steps * batch, hidden).T @ dz
+            if b.grad is not None:
+                b.grad += dz.sum(axis=0, keepdims=True)
+            if xs.grad is not None:
+                xs.grad += dz @ wx.data.T
+        tape.record(_back)
+    return seq if keep_seq else None, h_last
 
 
 def forward_fill_loop(ts: np.ndarray, vals: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:

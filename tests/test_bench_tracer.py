@@ -83,7 +83,7 @@ def test_benchmark_serving_path_matches_the_library(tmp_path):
 def test_traced_benchmark_run_passes_its_checks():
     # one short traced run of the smallest workload: the benchmark's own
     # correctness checks pass, and the tape of a training batch has one node
-    # per encoder layer, two per decoder step and 9 more
+    # for the encoder, two per decoder step and 9 more
     proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", "lax-dtw",
                            "--seed", "1", "--seconds", "1", "--trace", "1"],
                           capture_output=True, text=True, timeout=300)
@@ -92,5 +92,5 @@ def test_traced_benchmark_run_passes_its_checks():
     assert result["correct"] is True
     assert result["failed"] == 0
     window = load_bench_module("workloads").WINDOW
-    nodes = window["layers"] + 2 * window["j"] + 9
+    nodes = 2 * window["j"] + 10
     assert result["metrics"]["neural.tape_nodes_per_batch"]["value"] == nodes

@@ -274,18 +274,18 @@ def test_long_context_summary_attends_over_trailing_ticks(ds_window, ds_step, ti
 
 
 @pytest.mark.parametrize("cfg, nodes", [
-    (tiny_config(), 15),
+    (tiny_config(), 14),
     (tiny_config(layers=1, j=3), 16),
-    (WindowConfig(i=24, m=48, j=2, hidden=32, layers=2, ds_step=8, ds_window=48), 15),  # benchmark model
+    (WindowConfig(i=24, m=48, j=2, hidden=32, layers=2, ds_step=8, ds_window=48), 14),  # benchmark model
 ])
 def test_full_forward_tape_size(cfg, nodes):
-    # one node per encoder layer, two per decoder step (cell and head) and 9
-    # for the rest: the long-context summary is computed off the tape
+    # one node for the whole encoder, two per decoder step (cell and head)
+    # and 9 for the rest: the long-context summary is computed off the tape
     store = build_params(cfg, Ablation.FULL, seed_or_rng=0)
     rng = np.random.default_rng(7)
     tape = Tape()
     forward_batch([random_window(cfg, rng) for _ in range(3)], store, cfg, Ablation.FULL, tape)
-    assert len(tape) == nodes == cfg.layers + 2 * cfg.j + 9
+    assert len(tape) == nodes == 2 * cfg.j + 10
 
 
 def test_no_period_output_equals_raw_decode_of_full():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (attention, attention_weights, cell_per_tick, encode_per_tick, fd_array_grad,
-                     fd_param_grad, logistic, max_rel_err)
+                     fd_param_grad, logistic, max_rel_err, recurrent_sequence)
 from periocast.errors import ShapeMismatch, TapeConsumed
 from periocast.model import Ablation, WindowConfig, build_params, encode
 from periocast.neural import (
@@ -19,7 +19,7 @@ from periocast.neural import (
     linear,
     pair_attention,
     recurrent_cell_step,
-    recurrent_sequence,
+    recurrent_stack,
     scalar_attention,
     tanh,
 )
@@ -203,10 +203,11 @@ def _opt_in(*tensors):
         t.grad = np.zeros_like(t.data)
 
 
-def _check_op(build, n_seeds=5):
+def _check_op(build, n_seeds=5, floor=1e-8):
     """build(rng) -> (f_scalar, store, extra_inputs); checks d f / d params and
     d f / d inputs against central differences.  `f` gives each input in
-    `extra_inputs` a fresh zero buffer."""
+    `extra_inputs` a fresh zero buffer.  Entries below `floor` in magnitude
+    are not compared."""
     for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
         f, store, inputs = build(rng)
@@ -224,11 +225,11 @@ def _check_op(build, n_seeds=5):
         if analytic_params is not None:
             numeric = fd_param_grad(
                 lambda: float(f(Tape(recording=False)).data.sum()), store)
-            assert max_rel_err(analytic_params, numeric) < FD_TOL
+            assert max_rel_err(analytic_params, numeric, floor) < FD_TOL
         for (arr, _), got in zip(inputs, analytic_inputs):
             numeric_in = fd_array_grad(
                 lambda _a: float(f(Tape(recording=False)).data.sum()), arr)
-            assert max_rel_err(got, numeric_in) < FD_TOL
+            assert max_rel_err(got, numeric_in, floor) < FD_TOL
 
 
 def test_linear_gradients():
@@ -523,7 +524,13 @@ def test_cell_shape_validation():
         recurrent_cell_step(Tape(), x, h, c, wx, wh, b)
 
 
-# --- recurrent sequence ----------------------------------------------------------
+# --- recurrent sequence and stack ---------------------------------------------------
+
+# The stack sums each step's gates in one product where the per-layer oracle
+# and the per-tick cells take three, so the two agree to a few ulps of the
+# hidden states, which lie in (-1, 1), and of the largest gradient entry.
+STACK_TOL = 64 * np.finfo(np.float64).eps
+
 
 def _cell_slots(store, d_in, hidden, rng, prefix=""):
     slots = (store.add(f"{prefix}wx", d_in, 4 * hidden), store.add(f"{prefix}wh", hidden, 4 * hidden),
@@ -533,10 +540,25 @@ def _cell_slots(store, d_in, hidden, rng, prefix=""):
     return slots
 
 
+def _stack_slots(store, layers, d_in, hidden, rng):
+    return [_cell_slots(store, d_in if layer == 0 else hidden, hidden, rng, f"l{layer}.")
+            for layer in range(layers)]
+
+
+def _per_layer(tape, xs, cells):
+    """The top layer's final state from one oracle `recurrent_sequence` per
+    layer."""
+    steps, _, d_in = xs.shape
+    seq = Tensor(xs.reshape(-1, d_in))
+    for layer, cell in enumerate(cells):
+        seq, h_last = recurrent_sequence(tape, seq, steps, *cell, keep_seq=layer < len(cells) - 1)
+    return h_last
+
+
 @pytest.mark.parametrize("rows", [1, 3, 64])
 def test_sequence_matches_cell_steps(rows):
-    # the whole hidden sequence, bit for bit, with and without a tape and
-    # with the top layer's rolling rows
+    # the per-layer oracle: the whole hidden sequence, bit for bit, with and
+    # without a tape and with the top layer's rolling rows
     steps, d_in, hidden = 6, 3, 4
     rng = np.random.default_rng(rows)
     wx, wh, b = _cell_slots(ParamStore(), d_in, hidden, rng)
@@ -555,6 +577,32 @@ def test_sequence_matches_cell_steps(rows):
 
 
 @pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("steps, layers", [(6, 1), (6, 2), (6, 3), (1, 3), (2, 3)])
+def test_stack_matches_per_layer_oracle(rows, steps, layers):
+    # the final state and every slot's gradient, with and without a tape,
+    # including sequences shorter than the stack
+    d_in, hidden = 2, 4
+    rng = np.random.default_rng(100 * layers + 10 * steps + rows)
+    store = ParamStore()
+    cells = _stack_slots(store, layers, d_in, hidden, rng)
+    xs = rng.normal(size=(steps, rows, d_in))
+    seed = rng.normal(size=(rows, hidden))
+    got = {}
+    for name, op in (("stack", recurrent_stack), ("oracle", _per_layer)):
+        store.zero_grad()
+        tape = Tape()
+        h_last = op(tape, xs, cells)
+        h_last.grad += seed
+        tape.backward()
+        assert np.array_equal(op(Tape(recording=False), xs, cells).data, h_last.data)
+        got[name] = h_last.data.copy(), store.grad_flat(), len(tape)
+    np.testing.assert_allclose(got["stack"][0], got["oracle"][0], rtol=0, atol=STACK_TOL)
+    grad_scale = max(1.0, np.abs(got["oracle"][1]).max())
+    np.testing.assert_allclose(got["stack"][1], got["oracle"][1], rtol=0, atol=STACK_TOL * grad_scale)
+    assert got["stack"][2] == 1
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
 @pytest.mark.parametrize("layers", [1, 3])
 def test_encode_matches_per_tick_oracle(rows, layers):
     cfg = WindowConfig(i=7, m=12, j=2, hidden=5, layers=layers, ds_step=4, ds_window=12)
@@ -566,16 +614,34 @@ def test_encode_matches_per_tick_oracle(rows, layers):
         got, got_summary = encode(tape, store, cfg, Tensor(x_short), Tensor(x_long))
         ref, ref_summary = encode_per_tick(Tape(recording=False), store, cfg, Tensor(x_short),
                                            Tensor(x_long))
-        assert np.array_equal(got.data, ref.data)
+        np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=STACK_TOL)
         assert np.array_equal(got_summary, ref_summary)
-        assert len(tape) == (layers if recording else 0)
+        assert len(tape) == (1 if recording else 0)
+
+
+@pytest.mark.parametrize("steps, layers", [(4, 2), (3, 3), (1, 3)])
+def test_stack_gradients(steps, layers):
+    # every slot of every layer, biases and the upper layers' wx included,
+    # against central differences.  Those round to about eps * |f| / h,
+    # 1e-11 here, so a 1e-6 relative check resolves entries above 1e-5 only;
+    # the few smaller ones in the lower layers of a deep stack are left to
+    # the oracle comparison above.
+    batch, d_in, hidden = 2, 2, 3
+
+    def build(rng):
+        store = ParamStore()
+        cells = _stack_slots(store, layers, d_in, hidden, rng)
+        xs = rng.normal(size=(steps, batch, d_in))
+        return (lambda tape: recurrent_stack(tape, xs, cells)), store, []
+
+    _check_op(build, n_seeds=3, floor=1e-5)
 
 
 @pytest.mark.parametrize("keep_top", [True, False])
 def test_sequence_gradients(keep_top):
-    # two stacked layers: the upper one's backward sends the lower one its
-    # sequence gradient; the objective reads the top sequence or only its
-    # final state
+    # the per-layer oracle, two stacked layers: the upper one's backward
+    # sends the lower one its sequence gradient; the objective reads the top
+    # sequence or only its final state
     steps, batch, d_in, hidden = 4, 2, 2, 3
 
     def build(rng):
@@ -609,6 +675,23 @@ def test_sequence_shape_validation():
             recurrent_sequence(Tape(), Tensor(xs), steps, wx, wh, b)
     with pytest.raises(ShapeMismatch):
         recurrent_sequence(Tape(), Tensor(np.zeros((6, 2))), 3, wx, wh, store.add("b2", 2, 8, None))
+
+
+def test_stack_shape_validation():
+    store = ParamStore()
+    cells = [(store.add("l0.wx", 3, 8), store.add("l0.wh", 2, 8), store.add("l0.b", 1, 8)),
+             (store.add("l1.wx", 2, 8), store.add("l1.wh", 2, 8), store.add("l1.b", 1, 8))]
+    assert recurrent_stack(Tape(), np.zeros((5, 4, 3)), cells).data.shape == (4, 2)
+    wide = (store.add("w.wx", 2, 12), store.add("w.wh", 3, 12), store.add("w.b", 1, 12))
+    for xs, bad in ((np.zeros((20, 3)), cells),                  # not (steps, batch, d_in)
+                    (np.zeros((0, 4, 3)), cells),                # no tick
+                    (np.zeros((5, 4, 3)), []),                   # no layer
+                    (np.zeros((5, 4, 2)), cells),                # wrong input width
+                    (np.zeros((5, 4, 3)), [cells[0], cells[0]]),  # upper wx not (hidden, 4 * hidden)
+                    (np.zeros((5, 4, 3)), [cells[0], wide]),      # layers of different widths
+                    (np.zeros((5, 4, 3)), [cells[0], (cells[1][0], cells[1][1], store.add("b2", 2, 8))])):
+        with pytest.raises(ShapeMismatch):
+            recurrent_stack(Tape(), xs, bad)
 
 
 # --- autoencoder ------------------------------------------------------------------
