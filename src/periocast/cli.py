@@ -169,8 +169,9 @@ def cmd_detect_period(args) -> int:
         print(f"{row[0]}: {row[1]}" + (f" (k={row[2]})" if row[1] == "periodic" else ""))
 
     if args.auto_threshold:
-        if len(peaks) >= 10:
-            fit = fit_threshold_gmm_sweep(peaks, cfg["period.gmm_components"])
+        components, distinct = cfg["period.gmm_components"], len(np.unique(peaks))
+        if len(peaks) >= 10 and distinct >= components:
+            fit = fit_threshold_gmm_sweep(peaks, components)
             lines = []
             for c in range(len(fit.means)):
                 lines.append(f"component_{c} = weight {fit.weights[c]:.4f}, "
@@ -182,8 +183,9 @@ def cmd_detect_period(args) -> int:
             print(f"derived threshold {fit.derived_threshold:.4f} "
                   f"(search range {fit.search_range[0]:.4f} .. {fit.search_range[1]:.4f})")
         else:
-            print(f"warning: --auto-threshold needs >= 10 machines with a first peak, "
-                  f"got {len(peaks)}; skipping", file=sys.stderr)
+            print(f"warning: --auto-threshold needs >= 10 machines with a first peak and "
+                  f"period.gmm_components={components} distinct peak values, got {len(peaks)} "
+                  f"machines and {distinct} values; skipping", file=sys.stderr)
     cfg.write(out / "config.json", {"command": "detect-period", "data": str(args.data)})
     return 0
 
@@ -195,13 +197,7 @@ def _checkpoint_meta(cfg: RunConfig, wcfg: WindowConfig, tcfg: TrainConfig, best
         "loss_mode": tcfg.effective_loss().describe(),
         "seed": tcfg.seed,
         "split": list(cfg["train.split"]),
-        "period": {
-            "threshold": cfg["period.threshold"],
-            "k_min": cfg["period.k_min"],
-            "k_max": cfg["period.k_max"],
-            "distance": cfg["period.distance"],
-            "dtw_band": cfg["period.dtw_band"],
-        },
+        "period": dataclasses.asdict(cfg.periodicity_config()),
         "io": {"schema": cfg["io.schema"], "tick": cfg["io.tick"],
                "allow_gaps": cfg["io.allow_gaps"]},
         "best_epoch": best_epoch,
@@ -242,14 +238,14 @@ def _load_model(cfg: RunConfig, checkpoint_path: str):
     store, meta, checksum = ckpt.load_checkpoint(checkpoint_path)
     wcfg, stored, ablation = _checkpoint_settings(meta, checkpoint_path)
     _check_slots(store, build_params(wcfg, ablation, None), checkpoint_path)
-    for key, value in (("model.i", wcfg.i), ("model.m", wcfg.m), ("model.j", wcfg.j),
-                       ("model.hidden", wcfg.hidden), ("model.layers", wcfg.layers),
-                       ("model.ds_step", wcfg.ds_step), ("model.ds_window", wcfg.ds_window)):
+    model = {f"model.{name}": value for name, value in dataclasses.asdict(wcfg).items()}
+    for key, value in model.items():
         if key in cfg.explicit and cfg[key] != value:
             raise ConfigError(
                 f"checkpoint was trained with {key}={value}, config asks for {cfg[key]}")
-    # The stored period/split settings win so windows are cut the same way.
-    cfg.values.update(stored)
+    # The stored settings win, so windows are cut the same way and the
+    # written config.json records the model that was served.
+    cfg.values.update(model | stored)
     return store, meta, checksum, wcfg, ablation
 
 
@@ -265,9 +261,6 @@ def _check_slots(store, expected, path) -> None:
                               f"{got.get(name, 'absent')} in the file, {want.get(name, 'absent')} in the model")
 
 
-_META_PERIOD_KEYS = ("threshold", "k_min", "k_max", "distance", "dtw_band")
-
-
 def _checkpoint_settings(meta, path) -> tuple[WindowConfig, dict, Ablation]:
     """The model shape, the period and split config values and the ablation
     recorded in a checkpoint's meta.  A missing or invalid entry raises
@@ -278,11 +271,9 @@ def _checkpoint_settings(meta, path) -> tuple[WindowConfig, dict, Ablation]:
         raise CheckpointError(f"{path}: meta lacks {', '.join(missing)}")
     try:
         wcfg = WindowConfig.from_meta(meta["model"])
-        per = meta["period"]
-        stored = {f"period.{key}": RunConfig._parse(f"period.{key}", per[key])
-                  for key in _META_PERIOD_KEYS}
-        stored["train.split"] = RunConfig._parse("train.split", meta["split"])
-        PeriodicityConfig(**{key: stored[f"period.{key}"] for key in _META_PERIOD_KEYS})
+        raw = {f"period.{f.name}": meta["period"][f.name] for f in dataclasses.fields(PeriodicityConfig)}
+        stored = {key: RunConfig._parse(key, value) for key, value in {**raw, "train.split": meta["split"]}.items()}
+        RunConfig(stored).periodicity_config()
         ablation = Ablation(meta["ablation"])
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad meta: {exc}") from exc

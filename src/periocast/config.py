@@ -10,6 +10,7 @@ its outputs.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -28,6 +29,26 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _int(value) -> int:
+    """`int`, without truncating a JSON number or taking a boolean for one."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _positive_int(value) -> int:
+    value = _int(value)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def _opt(parser):
     def inner(text):
         if text is None or str(text).strip().lower() in ("", "none", "null"):
@@ -37,10 +58,8 @@ def _opt(parser):
 
 
 def _split_fractions(text) -> tuple[float, float, float]:
-    if isinstance(text, (list, tuple)):
-        parts = [float(p) for p in text]
-    else:
-        parts = [float(p) for p in str(text).split(",")]
+    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    parts = [_float(p) for p in parts]
     if len(parts) != 3:
         raise ValueError("split needs three comma-separated fractions")
     if any(p < 0.0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
@@ -49,9 +68,8 @@ def _split_fractions(text) -> tuple[float, float, float]:
 
 
 def _int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(p) for p in text)
-    return tuple(int(p) for p in str(text).split(","))
+    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    return tuple(_int(p) for p in parts)
 
 
 def _loss_mode(text: str) -> str:
@@ -72,33 +90,36 @@ def _schema_name(text: str) -> str:
     return name
 
 
-# key -> (parser, default, help)
+_MODEL, _PERIOD, _TRAIN = WindowConfig(), PeriodicityConfig(), TrainConfig()
+
+# key -> (parser, default, help).  A model.* or period.* key names a field of
+# WindowConfig or PeriodicityConfig; defaults are read from the dataclasses.
 KEYS: dict[str, tuple] = {
     "io.schema": (_schema_name, "generic", "CSV column preset (generic/alibaba2018/dinda/smd)"),
-    "io.tick": (_opt(float), None, "sampling interval seconds; default from the schema preset"),
+    "io.tick": (_opt(_float), None, "sampling interval seconds; default from the schema preset"),
     "io.allow_gaps": (_bool, False, "forward-fill timestamp gaps instead of rejecting them"),
-    "period.threshold": (float, 0.5, "ACF peak threshold for the periodic verdict"),
-    "period.k_min": (int, 2, "smallest candidate period"),
-    "period.k_max": (_opt(int), None, "largest candidate period; default half the series"),
-    "period.distance": (str, "mse", "template matching distance: mse or dtw"),
-    "period.dtw_band": (_opt(int), None, "Sakoe-Chiba band for dtw matching"),
-    "period.gmm_components": (int, 3, "mixture components for threshold fitting"),
-    "model.i": (int, 50, "recent window length fed to the encoder"),
-    "model.m": (int, 100, "long-context window length"),
-    "model.j": (int, 2, "forecast horizon"),
-    "model.hidden": (int, 80, "recurrent hidden size"),
-    "model.layers": (int, 2, "encoder depth"),
-    "model.ds_step": (int, 20, "long-context downsampling stride"),
-    "model.ds_window": (int, 100, "trailing slice of the long context kept for downsampling"),
-    "loss.mode": (_loss_mode, "limit", "limit, mse, or gamma:<float>"),
-    "train.epochs": (int, 50, "training epochs"),
-    "train.batch_size": (int, 100, "windows per optimizer step"),
-    "train.lr": (float, 0.001, "learning rate"),
-    "train.optimizer": (str, "adam", "adam or sgd"),
-    "train.seed": (int, 0, "seed for init and shuffling"),
-    "train.grad_clip": (_opt(float), None, "global gradient-norm clip; unset = off"),
-    "train.patience": (int, 10, "early-stop patience on validation MSE"),
-    "train.ablation": (_ablation, "full", "full, no_period, mse_loss or neither"),
+    "period.threshold": (_float, _PERIOD.threshold, "ACF peak threshold for the periodic verdict"),
+    "period.k_min": (_int, _PERIOD.k_min, "smallest candidate period"),
+    "period.k_max": (_opt(_int), _PERIOD.k_max, "largest candidate period; default half the series"),
+    "period.distance": (str, _PERIOD.distance, "template matching distance: mse or dtw"),
+    "period.dtw_band": (_opt(_int), _PERIOD.dtw_band, "Sakoe-Chiba band for dtw matching"),
+    "period.gmm_components": (_positive_int, 3, "mixture components for threshold fitting"),
+    "model.i": (_int, _MODEL.i, "recent window length fed to the encoder"),
+    "model.m": (_int, _MODEL.m, "long-context window length"),
+    "model.j": (_int, _MODEL.j, "forecast horizon"),
+    "model.hidden": (_int, _MODEL.hidden, "recurrent hidden size"),
+    "model.layers": (_int, _MODEL.layers, "encoder depth"),
+    "model.ds_step": (_int, _MODEL.ds_step, "long-context downsampling stride"),
+    "model.ds_window": (_int, _MODEL.ds_window, "trailing slice of the long context kept for downsampling"),
+    "loss.mode": (_loss_mode, LossConfig().describe(), "limit, mse, or gamma:<float>"),
+    "train.epochs": (_int, _TRAIN.epochs, "training epochs"),
+    "train.batch_size": (_int, _TRAIN.batch_size, "windows per optimizer step"),
+    "train.lr": (_float, _TRAIN.learning_rate, "learning rate"),
+    "train.optimizer": (str, _TRAIN.optimizer, "adam or sgd"),
+    "train.seed": (_int, _TRAIN.seed, "seed for init and shuffling"),
+    "train.grad_clip": (_opt(_float), _TRAIN.grad_clip, "global gradient-norm clip; unset = off"),
+    "train.patience": (_int, _TRAIN.patience, "early-stop patience on validation MSE"),
+    "train.ablation": (_ablation, _TRAIN.ablation.value, "full, no_period, mse_loss or neither"),
     "train.split": (_split_fractions, (0.7, 0.1, 0.2), "chronological train/val/test fractions"),
     "train.ablation_seeds": (_int_list, (1, 2, 3), "seeds for the ablate command"),
 }
@@ -149,24 +170,17 @@ class RunConfig:
         return self.values[key]
 
     def window_config(self) -> WindowConfig:
-        try:
-            return WindowConfig(
-                i=self["model.i"], m=self["model.m"], j=self["model.j"],
-                hidden=self["model.hidden"], layers=self["model.layers"],
-                ds_step=self["model.ds_step"], ds_window=self["model.ds_window"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad model config: {exc}") from exc
+        return self._dataclass("model", WindowConfig)
 
     def periodicity_config(self) -> PeriodicityConfig:
+        return self._dataclass("period", PeriodicityConfig)
+
+    def _dataclass(self, prefix: str, cls):
+        """`cls` built from the `{prefix}.{field}` value of each of its fields."""
         try:
-            return PeriodicityConfig(
-                threshold=self["period.threshold"], k_min=self["period.k_min"],
-                k_max=self["period.k_max"], distance=self["period.distance"],
-                dtw_band=self["period.dtw_band"],
-            )
+            return cls(**{f.name: self[f"{prefix}.{f.name}"] for f in fields(cls)})
         except ValueError as exc:
-            raise ConfigError(f"bad period config: {exc}") from exc
+            raise ConfigError(f"bad {prefix} config: {exc}") from exc
 
     def train_config(self) -> TrainConfig:
         try:
@@ -185,20 +199,13 @@ class RunConfig:
         from .traceio import SCHEMAS
         schema = SCHEMAS[self["io.schema"]]
         if self["io.tick"] is not None:
-            from dataclasses import replace
             schema = replace(schema, tick=self["io.tick"])
         return schema
 
     def write(self, path: str | Path, extra: dict | None = None) -> None:
-        """Serialise the resolved configuration (plus run metadata extras)."""
-        out = {}
-        for key in sorted(self.values):
-            value = self.values[key]
-            if isinstance(value, tuple):
-                value = list(value)
-            out[key] = value
-        if extra:
-            out.update(extra)
+        """Serialise the resolved configuration (plus run metadata extras);
+        tuples become JSON lists."""
+        out = {**self.values, **(extra or {})}
         Path(path).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

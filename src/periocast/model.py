@@ -25,7 +25,8 @@ discount it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,6 +77,9 @@ class Ablation(enum.Enum):
 
 @dataclass(frozen=True)
 class WindowConfig:
+    """The model's settings: the `model.*` config keys and a checkpoint's
+    `meta["model"]`.  Traces are univariate, one value per tick."""
+
     i: int = 50            # recent ticks fed to the encoder
     m: int = 100           # long-context ticks (recent window is its suffix)
     j: int = 2             # forecast horizon
@@ -83,7 +87,6 @@ class WindowConfig:
     layers: int = 2        # encoder depth; the decoder is a single cell
     ds_step: int = 20      # long-context downsampling stride
     ds_window: int = 100   # trailing slice of the long context to downsample
-    d: int = 1             # feature width per tick (univariate)
 
     def __post_init__(self):
         if self.j < 2:
@@ -94,23 +97,18 @@ class WindowConfig:
             raise ValueError("hidden and layers must be >= 1")
         if self.ds_step < 1 or self.ds_window < 1:
             raise ValueError("ds_step and ds_window must be >= 1")
-        if self.d != 1:
-            raise ValueError("only univariate traces are supported")
 
     def effective_ds_window(self) -> int:
         return min(self.ds_window, self.m)
 
     def to_meta(self) -> dict:
-        return {
-            "i": self.i, "m": self.m, "j": self.j, "hidden": self.hidden,
-            "layers": self.layers, "ds_step": self.ds_step,
-            "ds_window": self.ds_window, "d": self.d,
-        }
+        return asdict(self)
 
     @classmethod
     def from_meta(cls, meta: dict) -> "WindowConfig":
-        return cls(**{k: int(meta[k]) for k in
-                      ("i", "m", "j", "hidden", "layers", "ds_step", "ds_window", "d")})
+        """Keys that are not fields, such as the `"d": 1` of older
+        checkpoints, are ignored; a value that is not an int raises TypeError."""
+        return cls(**{f.name: operator.index(meta[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -239,17 +237,17 @@ def build_params(cfg: WindowConfig, ablation: Ablation, seed_or_rng) -> ParamSto
     store = ParamStore()
     h = cfg.hidden
     for layer in range(cfg.layers):
-        d_in = cfg.d if layer == 0 else h
+        d_in = 1 if layer == 0 else h
         store.add(f"enc.l{layer}.wx", d_in, 4 * h, rng)
         store.add(f"enc.l{layer}.wh", h, 4 * h, rng)
         store.add(f"enc.l{layer}.b", 1, 4 * h, None)
     store.add("dec.init.wh", cfg.i, h, rng)
     store.add("dec.init.wc", cfg.i, h, rng)
-    store.add("dec.cell.wx", cfg.d, 4 * h, rng)
+    store.add("dec.cell.wx", 1, 4 * h, rng)
     store.add("dec.cell.wh", h, 4 * h, rng)
     store.add("dec.cell.b", 1, 4 * h, None)
-    store.add("dec.head.w", h, cfg.d, rng)
-    store.add("dec.head.b", 1, cfg.d, None)
+    store.add("dec.head.w", h, 1, rng)
+    store.add("dec.head.b", 1, 1, None)
     if ablation.fuses:
         store.add("fuse.query.w", cfg.i, cfg.j, rng)
         store.add("fuse.query.b", 1, cfg.j, None)
@@ -276,9 +274,8 @@ def encode(tape: Tape, store: ParamStore, cfg: WindowConfig,
 
 
 def decode(tape: Tape, store: ParamStore, cfg: WindowConfig,
-           enc_last: Tensor, x_long_bar: np.ndarray, x_short: Tensor,
-           j: int | None = None) -> Tensor:
-    """Autoregressive decoding of the next `j` values.
+           enc_last: Tensor, x_long_bar: np.ndarray, x_short: Tensor) -> Tensor:
+    """Autoregressive decoding of the next `cfg.j` values.
 
     Cross-attention (recent ticks as queries, long-context summary as
     keys/values) is computed once per window, off the tape; its rows,
@@ -287,7 +284,6 @@ def decode(tape: Tape, store: ParamStore, cfg: WindowConfig,
     The first decoder input is the last recent value; each later input is
     the previous prediction.
     """
-    j = cfg.j if j is None else j
     h_cross = Tensor(scalar_attention(x_short.data, x_long_bar))      # (batch, i)
     h0 = add(tape, linear(tape, h_cross, store["dec.init.wh"]), enc_last)
     c0 = linear(tape, h_cross, store["dec.init.wc"])
@@ -296,7 +292,7 @@ def decode(tape: Tape, store: ParamStore, cfg: WindowConfig,
     y_prev = Tensor(x_short.data[:, cfg.i - 1:].copy())
     h, c = h0, c0
     outs = []
-    for _ in range(j):
+    for _ in range(cfg.j):
         h, c = recurrent_cell_step(
             tape, y_prev, h, c,
             store["dec.cell.wx"], store["dec.cell.wh"], store["dec.cell.b"],
@@ -339,16 +335,6 @@ class BatchForward:
     y_hat: np.ndarray              # (batch, j) decoded sequence (detached)
     fusion_weights: np.ndarray | None
 
-    def forecasts(self) -> list[Forecast]:
-        return [
-            Forecast(
-                self.y.data[b].copy(),
-                self.y_hat[b].copy(),
-                None if self.fusion_weights is None else self.fusion_weights[b].copy(),
-            )
-            for b in range(self.y.rows)
-        ]
-
 
 def forward_batch(windows: WindowSet | list[SampleWindow], store: ParamStore, cfg: WindowConfig,
                   ablation: Ablation = Ablation.FULL, tape: Tape | None = None) -> BatchForward:
@@ -369,8 +355,9 @@ def forward_batch(windows: WindowSet | list[SampleWindow], store: ParamStore, cf
 
 def forward(window: SampleWindow, store: ParamStore, cfg: WindowConfig,
             ablation: Ablation = Ablation.FULL) -> Forecast:
-    """Single-window convenience wrapper around `forward_batch`.  The window's
-    arrays enter as one-row views, with no stacking."""
+    """One window's forecast without recording: row 0 of `forward_batch`
+    over the window's arrays, which enter as one-row views, unstacked."""
     one = WindowSet(np.array([window.machine_id]), np.array([window.start]),
                     *(getattr(window, name)[None] for name in _FIELDS[2:]))
-    return forward_batch(one, store, cfg, ablation, Tape(recording=False)).forecasts()[0]
+    bf = forward_batch(one, store, cfg, ablation, Tape(recording=False))
+    return Forecast(bf.y.data[0], bf.y_hat[0], None if bf.fusion_weights is None else bf.fusion_weights[0])

@@ -24,16 +24,18 @@ from .neural import ParamStore, Tape
 from .rng import Prng
 from .stats import MetricTriple, metrics
 
+PREDICT_BATCH = 256  # windows per no-tape forward in evaluation and prediction
+
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """How `train` runs; the `train.*` and `loss.mode` keys default to its
+    defaults.  Adam's betas and eps are Adam's own."""
+
     epochs: int = 50
     batch_size: int = 100
     learning_rate: float = 0.001
     optimizer: str = "adam"        # "adam" or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     grad_clip: float | None = None  # global L2 norm; None = off
     patience: int = 10              # early-stop patience on validation MSE
@@ -114,13 +116,13 @@ class TrainLog:
                                  f"{wt:.3f}"])
 
 
-def _predict_all(windows: WindowSet, store: ParamStore, cfg: WindowConfig,
-                 ablation: Ablation, batch_size: int = 256):
-    """Forward every window without recording.  Returns stacked arrays:
-    (forecast, truth, heavy mask, fusion weights or None, decoded sequence)."""
+def _predict_all(windows: WindowSet, store: ParamStore, cfg: WindowConfig, ablation: Ablation):
+    """Forward every window without recording, PREDICT_BATCH at a time.
+    Returns stacked arrays: (forecast, truth, heavy mask, fusion weights or
+    None, decoded sequence)."""
     preds, weights, y_hats = [], [], []
-    for lo in range(0, len(windows), batch_size):
-        bf = forward_batch(windows[lo: lo + batch_size], store, cfg, ablation, Tape(recording=False))
+    for lo in range(0, len(windows), PREDICT_BATCH):
+        bf = forward_batch(windows[lo: lo + PREDICT_BATCH], store, cfg, ablation, Tape(recording=False))
         preds.append(bf.y.data)
         y_hats.append(bf.y_hat)
         if bf.fusion_weights is not None:
@@ -156,7 +158,7 @@ def train(train_windows: WindowSet | list[SampleWindow], cfg: WindowConfig, tcfg
     rng = Prng(tcfg.seed)
     store = build_params(cfg, tcfg.ablation, rng)
     if tcfg.optimizer == "adam":
-        opt = Adam(store, tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.eps)
+        opt = Adam(store, tcfg.learning_rate)
     else:
         opt = Sgd(store, tcfg.learning_rate)
     loss_cfg = tcfg.effective_loss()
@@ -242,7 +244,7 @@ class EvalReport:
 
 
 def evaluate(store: ParamStore, windows: WindowSet | list[SampleWindow], cfg: WindowConfig,
-             ablation: Ablation = Ablation.FULL, batch_size: int = 256) -> EvalReport:
+             ablation: Ablation = Ablation.FULL) -> EvalReport:
     """Per-machine and pooled error metrics over a set of windows.
 
     Points are pooled, so the aggregate equals a metric recomputation over
@@ -252,7 +254,7 @@ def evaluate(store: ParamStore, windows: WindowSet | list[SampleWindow], cfg: Wi
     windows = WindowSet.of(windows)
     if not windows:
         raise EmptySelection("no windows to evaluate")
-    pred, truth, heavy, weights, _ = _predict_all(windows, store, cfg, ablation, batch_size)
+    pred, truth, heavy, weights, _ = _predict_all(windows, store, cfg, ablation)
 
     def _report(sel: np.ndarray) -> MachineReport:
         overall = metrics(pred[sel], truth[sel])

@@ -3,10 +3,11 @@ the place each one is looked up when called.  These tests keep those places
 in step with the library: a hook whose name moved would make a traced
 benchmark run fail with a KeyError.  The third test keeps the rest of the
 API the benchmark drives in step: its cold-start script, and the window
-lists it hands to `evaluate`.  The fourth runs the benchmark itself, briefly
-and traced."""
+lists it hands to `evaluate`.  The last two run the benchmark itself,
+briefly, traced and untraced."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -80,17 +81,31 @@ def test_benchmark_serving_path_matches_the_library(tmp_path):
     assert from_list.per_machine == from_set.per_machine
 
 
-def test_traced_benchmark_run_passes_its_checks():
-    # one short traced run of the smallest workload: the benchmark's own
-    # correctness checks pass, and the tape of a training batch has one node
-    # for the encoder, two per decoder step and 9 more
+def _bench_run(trace: int) -> dict:
+    """One 1-second run of the smallest workload; its benchmark's own
+    correctness checks pass and no operation fails."""
     proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", "lax-dtw",
-                           "--seed", "1", "--seconds", "1", "--trace", "1"],
+                           "--seed", "1", "--seconds", "1", "--trace", str(trace)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    return result
+
+
+def test_traced_benchmark_run_passes_its_checks():
+    # the tape of a training batch has one node for the encoder, two per
+    # decoder step and 9 more
+    result = _bench_run(trace=1)
     window = load_bench_module("workloads").WINDOW
     nodes = 2 * window["j"] + 10
     assert result["metrics"]["neural.tape_nodes_per_batch"]["value"] == nodes
+
+
+def test_untraced_benchmark_run_reports_the_end_to_end_metrics():
+    # the run the benchmark gates on: cold start included, no tracer
+    result = _bench_run(trace=0)
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(result["metrics"]) == {m["name"] for m in declared}
+    assert all(math.isfinite(m["value"]) for m in result["metrics"].values())

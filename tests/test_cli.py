@@ -10,7 +10,7 @@ import pytest
 from helpers import save_csv_rowwise
 from periocast.cli import main
 from periocast.checkpoint import load_checkpoint, save_checkpoint
-from periocast.traceio import SCHEMAS, RawTrace, SyntheticSpec, generate, load_csv
+from periocast.traceio import SCHEMAS, RawTrace, SyntheticSpec, generate, load_csv, save_csv
 
 TINY_MODEL = [
     "--set", "model.i=6", "--set", "model.m=12", "--set", "model.j=2",
@@ -121,10 +121,7 @@ def test_detect_period_auto_threshold_needs_ten(tmp_path, data_csv, capsys):
 
 
 def test_detect_period_auto_threshold_fits(tmp_path, capsys):
-    data = tmp_path / "fleet.csv"
-    assert main(["generate", "--out", str(data), "--machines", "12",
-                 "--length", "120", "--period", "12", "--amplitude", "0.25",
-                 "--noise-std", "0.05", "--seed", "2"]) == 0
+    data = _fleet_csv(tmp_path)
     out = tmp_path / "detect"
     rc = main(["detect-period", "--data", str(data), "--out", str(out),
                "--auto-threshold", "--set", "period.gmm_components=1"])
@@ -132,6 +129,43 @@ def test_detect_period_auto_threshold_fits(tmp_path, capsys):
     text = (out / "threshold.txt").read_text()
     assert "derived_threshold" in text
     assert "derived threshold" in capsys.readouterr().out
+
+
+def _fleet_csv(tmp_path, machines=12, identical=False):
+    data = tmp_path / "fleet.csv"
+    if identical:  # every machine carries the same series, so every first peak is equal
+        series = generate(SyntheticSpec(length=120, period=12, amplitude=0.25, noise_std=0.05, seed=2))
+        save_csv([RawTrace(f"m{k:02d}", np.arange(120, dtype=np.int64), series.values)
+                  for k in range(machines)], data, SCHEMAS["generic"])
+    else:
+        assert main(["generate", "--out", str(data), "--machines", str(machines),
+                     "--length", "120", "--period", "12", "--amplitude", "0.25",
+                     "--noise-std", "0.05", "--seed", "2"]) == 0
+    return data
+
+
+@pytest.mark.parametrize("components", ["0", "-1"])
+def test_detect_period_auto_threshold_bad_components_exits_1(tmp_path, capsys, components):
+    data = _fleet_csv(tmp_path)
+    capsys.readouterr()
+    rc = main(["detect-period", "--data", str(data), "--out", str(tmp_path / "detect"),
+               "--auto-threshold", "--set", f"period.gmm_components={components}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "period.gmm_components" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("components, identical", [("20", False), ("3", True)],
+                         ids=["more-components-than-machines", "fewer-distinct-peaks"])
+def test_detect_period_auto_threshold_too_few_peaks_warns(tmp_path, capsys, components, identical):
+    data = _fleet_csv(tmp_path, identical=identical)
+    out = tmp_path / "detect"
+    rc = main(["detect-period", "--data", str(data), "--out", str(out),
+               "--auto-threshold", "--set", f"period.gmm_components={components}"])
+    assert rc == 0
+    assert not (out / "threshold.txt").exists()
+    assert "needs >= 10" in capsys.readouterr().err
 
 
 # --- train -----------------------------------------------------------------------
@@ -229,6 +263,8 @@ def test_evaluate_outputs(tmp_path, data_csv, capsys):
     with open(out / "eval.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[-1]["machine_id"] == "ALL" or rows[-2]["machine_id"] == "ALL"
+    # config.json records the checkpoint's model (hidden=3), not the key default
+    assert json.loads((out / "config.json").read_text())["model.hidden"] == 3
 
 
 def test_evaluate_deterministic_bytes(tmp_path, data_csv):
@@ -367,6 +403,12 @@ def test_malformed_checkpoint_exits_2(tmp_path, data_csv, capsys):
     pytest.param(lambda meta: {**meta, "split": [0.5, 0.5]}, "bad meta", id="two-split-fractions"),
     pytest.param(lambda meta: {**meta, "model": {**meta["model"], "hidden": "wide"}}, "bad meta",
                  id="non-integer-hidden"),
+    pytest.param(lambda meta: {**meta, "model": {**meta["model"], "hidden": 3.5}}, "bad meta",
+                 id="fractional-hidden"),
+    pytest.param(lambda meta: {**meta, "period": {**meta["period"], "k_min": 2.5}}, "bad meta",
+                 id="fractional-k-min"),
+    pytest.param(lambda meta: {**meta, "period": {**meta["period"], "threshold": True}}, "bad meta",
+                 id="boolean-threshold"),
     pytest.param(lambda meta: [meta], "lacks model", id="meta-not-an-object"),
     # meta that no longer describes the stored tensors (trained with layers=1, hidden=3)
     pytest.param(lambda meta: {**meta, "model": {**meta["model"], "layers": 2}}, "do not fit",
@@ -386,6 +428,21 @@ def test_checkpoint_meta_checked_exits_2(tmp_path, data_csv, capsys, command, ed
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_checkpoint_with_older_model_meta_serves(tmp_path, data_csv, command):
+    # checkpoints written before the feature width became a constant record "d": 1
+    _, ckpt_path = _train(tmp_path, data_csv)
+    store, meta, _ = load_checkpoint(ckpt_path)
+    older = tmp_path / "older.ckpt"
+    save_checkpoint(older, store, {**meta, "model": {**meta["model"], "d": 1}})
+    outputs = []
+    for name, path in (("fresh", ckpt_path), ("older", older)):
+        out = tmp_path / name
+        assert main([command, "--checkpoint", str(path), "--data", str(data_csv), "--out", str(out)]) == 0
+        outputs.append((out / ("eval.csv" if command == "evaluate" else "predictions.csv")).read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_divergent_training_exits_3(tmp_path, data_csv, capsys):

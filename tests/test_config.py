@@ -1,10 +1,13 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from periocast.config import KEYS, RunConfig, key_help
 from periocast.errors import ConfigError
-from periocast.model import Ablation
+from periocast.model import Ablation, WindowConfig
+from periocast.periodicity import PeriodicityConfig
+from periocast.training import TrainConfig
 
 
 def test_defaults_without_inputs():
@@ -149,3 +152,49 @@ def test_key_help_mentions_every_key():
     text = key_help()
     for key in KEYS:
         assert key in text
+
+
+def _names(prefix):
+    return {key.split(".", 1)[1] for key in KEYS if key.startswith(prefix + ".")}
+
+
+def test_model_and_period_keys_are_the_dataclass_fields():
+    assert _names("model") == {f.name for f in fields(WindowConfig)}
+    assert _names("period") == {f.name for f in fields(PeriodicityConfig)} | {"gmm_components"}
+
+
+def test_key_defaults_are_the_dataclass_defaults():
+    for prefix, cls in (("model", WindowConfig), ("period", PeriodicityConfig)):
+        for f in fields(cls):
+            assert KEYS[f"{prefix}.{f.name}"][1] == getattr(cls(), f.name), f.name
+    base = RunConfig.resolve()
+    assert base.window_config() == WindowConfig()
+    assert base.periodicity_config() == PeriodicityConfig()
+    assert base.train_config() == TrainConfig()  # every train.* field and loss.mode
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model.i", 24.9), ("model.i", True), ("period.k_max", 7.5), ("train.epochs", False),
+    ("train.ablation_seeds", [1.5, 2, 3]), ("period.threshold", True), ("train.lr", False),
+    ("train.split", [True, 0, 0]),
+])
+def test_json_values_are_not_truncated(tmp_path, key, value):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.resolve(str(path))
+
+
+def test_json_integral_numbers_are_ints(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model.i": 24.0, "period.threshold": 1, "train.ablation_seeds": [4, 5, 6]}))
+    cfg = RunConfig.resolve(str(path))
+    assert cfg["model.i"] == 24 and type(cfg["model.i"]) is int
+    assert cfg["period.threshold"] == 1.0 and type(cfg["period.threshold"]) is float
+    assert cfg["train.ablation_seeds"] == (4, 5, 6)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gmm_components_must_be_positive(value):
+    with pytest.raises(ConfigError, match="period.gmm_components"):
+        RunConfig.resolve(None, [f"period.gmm_components={value}"])
