@@ -98,4 +98,4 @@ def _parse(body: bytes, path: str | Path) -> tuple[ParamStore, dict]:
         pos += rows * cols * 8
     if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes")
-    return ParamStore.from_arrays(arrays), meta
+    return ParamStore(arrays), meta

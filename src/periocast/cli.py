@@ -31,7 +31,7 @@ from .errors import (
     TraceIOError,
     ZeroVariance,
 )
-from .model import Ablation, WindowConfig, WindowSet, build_params, make_windows, merge_splits
+from .model import Ablation, WindowConfig, WindowSet, make_windows, merge_splits, param_shapes
 from .periodicity import (
     PeriodicityConfig,
     build_knowledge,
@@ -237,7 +237,7 @@ def cmd_train(args) -> int:
 def _load_model(cfg: RunConfig, checkpoint_path: str):
     store, meta, checksum = ckpt.load_checkpoint(checkpoint_path)
     wcfg, stored, ablation = _checkpoint_settings(meta, checkpoint_path)
-    _check_slots(store, build_params(wcfg, ablation, None), checkpoint_path)
+    _check_slots(store, param_shapes(wcfg, ablation), checkpoint_path)
     model = {f"model.{name}": value for name, value in dataclasses.asdict(wcfg).items()}
     for key, value in model.items():
         if key in cfg.explicit and cfg[key] != value:
@@ -249,11 +249,11 @@ def _load_model(cfg: RunConfig, checkpoint_path: str):
     return store, meta, checksum, wcfg, ablation
 
 
-def _check_slots(store, expected, path) -> None:
+def _check_slots(store, want, path) -> None:
     """Raise CheckpointError unless `store` has exactly the slot names and
-    shapes of `expected`, the model that the checkpoint's meta describes."""
+    shapes of `want`, the `param_shapes` of the model that the checkpoint's
+    meta describes."""
     got = {name: store[name].data.shape for name in store.names()}
-    want = {name: expected[name].data.shape for name in expected.names()}
     wrong = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
     if wrong:
         name = wrong[0]

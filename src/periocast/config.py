@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .loss import LossConfig
-from .model import Ablation, WindowConfig
+from .model import DEFAULT_SPLIT, Ablation, WindowConfig
 from .periodicity import PeriodicityConfig
 from .training import TrainConfig
 
@@ -120,7 +120,7 @@ KEYS: dict[str, tuple] = {
     "train.grad_clip": (_opt(_float), _TRAIN.grad_clip, "global gradient-norm clip; unset = off"),
     "train.patience": (_int, _TRAIN.patience, "early-stop patience on validation MSE"),
     "train.ablation": (_ablation, _TRAIN.ablation.value, "full, no_period, mse_loss or neither"),
-    "train.split": (_split_fractions, (0.7, 0.1, 0.2), "chronological train/val/test fractions"),
+    "train.split": (_split_fractions, DEFAULT_SPLIT, "chronological train/val/test fractions"),
     "train.ablation_seeds": (_int_list, (1, 2, 3), "seeds for the ablate command"),
 }
 

@@ -37,14 +37,15 @@ from .neural import (
     Tape,
     Tensor,
     add,
+    autoencoder,
+    autoencoder_shapes,
     concat_cols,
+    init_params,
     linear,
     pair_attention,
     recurrent_cell_step,
     recurrent_stack,
     scalar_attention,
-    autoencoder,
-    add_autoencoder_slots,
 )
 from .periodicity import PeriodKnowledge, PeriodicityConfig, match
 from .rng import Prng
@@ -107,8 +108,13 @@ class WindowConfig:
     @classmethod
     def from_meta(cls, meta: dict) -> "WindowConfig":
         """Keys that are not fields, such as the `"d": 1` of older
-        checkpoints, are ignored; a value that is not an int raises TypeError."""
-        return cls(**{f.name: operator.index(meta[f.name]) for f in fields(cls)})
+        checkpoints, are ignored; a value that is not an int, a boolean
+        included, raises TypeError."""
+        def index(name: str) -> int:
+            if isinstance(meta[name], bool):
+                raise TypeError(f"{name} is a boolean, not an integer")
+            return operator.index(meta[name])
+        return cls(**{f.name: index(f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -187,9 +193,12 @@ class WindowSplit:
         return iter((self.train, self.val, self.test))
 
 
+DEFAULT_SPLIT = (0.7, 0.1, 0.2)  # chronological train/val/test fractions; the `train.split` default
+
+
 def make_windows(series: WorkloadSeries, knowledge: PeriodKnowledge | None,
                  cfg: WindowConfig, pcfg: PeriodicityConfig,
-                 split=(0.7, 0.1, 0.2)) -> WindowSplit:
+                 split=DEFAULT_SPLIT) -> WindowSplit:
     """Cut stride-1 windows and split them chronologically.
 
     Every field is a view into the series, and one `match` call finds the
@@ -230,29 +239,27 @@ def merge_splits(splits: list[WindowSplit]) -> WindowSplit:
     return WindowSplit(*(WindowSet.concat(part) for part in zip(*splits)))
 
 
-def build_params(cfg: WindowConfig, ablation: Ablation, seed_or_rng) -> ParamStore:
-    """Allocate and initialise every learnable tensor for one model.  With
-    `seed_or_rng=None` every slot is zero: the model's layout alone."""
-    rng = seed_or_rng if seed_or_rng is None or isinstance(seed_or_rng, Prng) else Prng(seed_or_rng)
-    store = ParamStore()
+def param_shapes(cfg: WindowConfig, ablation: Ablation) -> dict[str, tuple[int, int]]:
+    """Every learnable tensor of one model as name -> (rows, cols), in the
+    order of its flat buffer and of its checkpoint's tensor table."""
     h = cfg.hidden
+    shapes = {}
     for layer in range(cfg.layers):
-        d_in = 1 if layer == 0 else h
-        store.add(f"enc.l{layer}.wx", d_in, 4 * h, rng)
-        store.add(f"enc.l{layer}.wh", h, 4 * h, rng)
-        store.add(f"enc.l{layer}.b", 1, 4 * h, None)
-    store.add("dec.init.wh", cfg.i, h, rng)
-    store.add("dec.init.wc", cfg.i, h, rng)
-    store.add("dec.cell.wx", 1, 4 * h, rng)
-    store.add("dec.cell.wh", h, 4 * h, rng)
-    store.add("dec.cell.b", 1, 4 * h, None)
-    store.add("dec.head.w", h, 1, rng)
-    store.add("dec.head.b", 1, 1, None)
+        shapes |= {f"enc.l{layer}.wx": (1 if layer == 0 else h, 4 * h),
+                   f"enc.l{layer}.wh": (h, 4 * h), f"enc.l{layer}.b": (1, 4 * h)}
+    shapes |= {"dec.init.wh": (cfg.i, h), "dec.init.wc": (cfg.i, h),
+               "dec.cell.wx": (1, 4 * h), "dec.cell.wh": (h, 4 * h), "dec.cell.b": (1, 4 * h),
+               "dec.head.w": (h, 1), "dec.head.b": (1, 1)}
     if ablation.fuses:
-        store.add("fuse.query.w", cfg.i, cfg.j, rng)
-        store.add("fuse.query.b", 1, cfg.j, None)
-        add_autoencoder_slots(store, "fuse.ae", cfg.j, rng)
-    return store
+        shapes |= {"fuse.query.w": (cfg.i, cfg.j), "fuse.query.b": (1, cfg.j)}
+        shapes |= autoencoder_shapes("fuse.ae", cfg.j)
+    return shapes
+
+
+def build_params(cfg: WindowConfig, ablation: Ablation, seed_or_rng: int | Prng) -> ParamStore:
+    """Every learnable tensor of one model, initialised by `init_params`."""
+    rng = seed_or_rng if isinstance(seed_or_rng, Prng) else Prng(seed_or_rng)
+    return init_params(param_shapes(cfg, ablation), rng)
 
 
 def encode(tape: Tape, store: ParamStore, cfg: WindowConfig,

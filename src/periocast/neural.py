@@ -84,61 +84,28 @@ class Tape:
 class ParamStore:
     """Named parameter slots laid out in one flat buffer.
 
-    `values` holds every parameter: the slots in insertion order, each one
-    row-major.  `grads` has the same layout.  Each slot's `Tensor.data` and
-    `Tensor.grad` are views into them, so the optimizer updates `values` in
-    place and a flat index maps to one (name, row, col) for gradient checks.
+    `values` holds every parameter: the slots in the order of `arrays`, each
+    one row-major.  `grads` has the same layout.  Each slot's `Tensor.data`
+    and `Tensor.grad` are views into them, so the optimizer updates `values`
+    in place and a flat index maps to one (name, row, col) for gradient
+    checks.  The slots hold copies of `arrays`, written into the buffer by
+    one concatenate; gradients start at zero.
     """
 
-    def __init__(self):
-        self._slots: dict[str, Tensor] = {}
-        self._buf = np.empty((2, 0))  # row 0: values, row 1: grads; then unused room
-        self.values = self._buf[0]
-        self.grads = self._buf[1]
-
-    def add(self, name: str, rows: int, cols: int, rng: Prng | None = None) -> Tensor:
-        """Create a slot.  With an rng, values are uniform in
-        (-1/sqrt(rows), +1/sqrt(rows)); without, zeros (used for biases)."""
-        if name in self._slots:
-            raise ValueError(f"duplicate slot {name!r}")
-        lo = self.values.size
-        hi = lo + rows * cols
-        if hi > self._buf.shape[1]:
-            # Grow geometrically, so building a store re-packs the buffer only
-            # O(log n) times; every re-pack re-points the existing slots.  The
-            # room is left uninitialised and zeroed one slot at a time.
-            buf = np.empty((2, max(hi, 2 * self._buf.shape[1])))
-            buf[:, :lo] = self._buf[:, :lo]
-            self._repoint(buf)
-        self._buf[:, lo:hi] = 0.0
-        data, grad = self._views(lo, rows, cols)
-        if rng is not None:
-            bound = 1.0 / np.sqrt(rows)
-            data[...] = [[rng.uniform(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-        t = Tensor(data)
-        t.grad = grad
-        self._slots[name] = t
-        self.values = self._buf[0, :hi]
-        self.grads = self._buf[1, :hi]
-        return t
-
-    def _repoint(self, buf: np.ndarray) -> None:
-        """Move every slot onto `buf`, which holds them at the same offsets."""
-        self._buf = buf
-        pos = 0
-        for t in self._slots.values():
-            t.data, t.grad = self._views(pos, t.rows, t.cols)
-            pos += t.data.size
-
-    def _views(self, lo: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        hi = lo + rows * cols
-        return self._buf[0, lo:hi].reshape(rows, cols), self._buf[1, lo:hi].reshape(rows, cols)
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self._slots = {name: Tensor(a) for name, a in arrays.items()}
+        sizes = [t.data.size for t in self._slots.values()]
+        buf = np.zeros((2, sum(sizes)))
+        if sizes:
+            np.concatenate([t.data.ravel() for t in self._slots.values()], out=buf[0])
+        self.values, self.grads = buf
+        for t, end, size in zip(self._slots.values(), accumulate(sizes), sizes):
+            shape = t.data.shape
+            t.data = self.values[end - size: end].reshape(shape)
+            t.grad = self.grads[end - size: end].reshape(shape)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._slots[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._slots
 
     def names(self) -> list[str]:
         return list(self._slots)
@@ -165,22 +132,23 @@ class ParamStore:
         """A copy of `grads`."""
         return self.grads.copy()
 
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ParamStore":
-        """Slots named, ordered and shaped as `arrays`, holding copies of their
-        values in one new buffer; gradients start at zero."""
-        store = cls()
-        store._slots = {name: Tensor(a) for name, a in arrays.items()}
-        buf = np.zeros((2, sum(t.data.size for t in store._slots.values())))
-        if store._slots:
-            np.concatenate([t.data.ravel() for t in store._slots.values()], out=buf[0])
-        store._repoint(buf)
-        store.values, store.grads = buf[0], buf[1]
-        return store
-
     def copy(self) -> "ParamStore":
         """Same slots and values in one new buffer; gradients start at zero."""
-        return ParamStore.from_arrays({name: t.data for name, t in self._slots.items()})
+        return ParamStore({name: t.data for name, t in self._slots.items()})
+
+
+def init_params(shapes: dict[str, tuple[int, int]], rng: Prng) -> ParamStore:
+    """A store with the slots of `shapes`, in its order.  Biases, the slots
+    named `b` or `*.b`, are zero; every other slot of `rows` rows is drawn
+    uniform in (-1/sqrt(rows), +1/sqrt(rows)), slot by slot and row-major."""
+    arrays = {}
+    for name, (rows, cols) in shapes.items():
+        if name.rpartition(".")[2] == "b":
+            arrays[name] = np.zeros((rows, cols))
+        else:
+            bound = 1.0 / math.sqrt(rows)
+            arrays[name] = np.reshape([rng.uniform(-bound, bound) for _ in range(rows * cols)], (rows, cols))
+    return ParamStore(arrays)
 
 
 # --------------------------------------------------------------------------
@@ -562,18 +530,14 @@ def recurrent_stack(tape: Tape, xs: np.ndarray, cells: list[tuple[Tensor, Tensor
 
 
 def autoencoder(tape: Tape, x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    """One-layer encoder to a single tanh unit, one-layer decoder back.
-
-    Slots: {prefix}.enc.w (d, 1), {prefix}.enc.b (1, 1),
-           {prefix}.dec.w (1, d), {prefix}.dec.b (1, d).
-    """
+    """One-layer encoder to a single tanh unit, one-layer decoder back, on
+    the slots of `autoencoder_shapes(prefix, d)`."""
     z = linear(tape, x, store[f"{prefix}.enc.w"], store[f"{prefix}.enc.b"])
     z = tanh(tape, z)
     return linear(tape, z, store[f"{prefix}.dec.w"], store[f"{prefix}.dec.b"])
 
 
-def add_autoencoder_slots(store: ParamStore, prefix: str, d: int, rng: Prng | None) -> None:
-    store.add(f"{prefix}.enc.w", d, 1, rng)
-    store.add(f"{prefix}.enc.b", 1, 1, None)
-    store.add(f"{prefix}.dec.w", 1, d, rng)
-    store.add(f"{prefix}.dec.b", 1, d, None)
+def autoencoder_shapes(prefix: str, d: int) -> dict[str, tuple[int, int]]:
+    """The slots of an `autoencoder` of width `d`."""
+    return {f"{prefix}.enc.w": (d, 1), f"{prefix}.enc.b": (1, 1),
+            f"{prefix}.dec.w": (1, d), f"{prefix}.dec.b": (1, d)}

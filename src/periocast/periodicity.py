@@ -114,7 +114,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: Prng) -> np.ndarray:
     return np.array(centers, dtype=np.float64)
 
 
-def fit_threshold_gmm(first_peaks, n_components: int = 3, seed: int = 0,
+def fit_threshold_gmm(first_peaks, n_components: int, seed: int = 0,
                       max_iter: int = 200, tol: float = 1e-7) -> GmmFit:
     """Fit a 1-D Gaussian mixture by EM and derive a periodicity threshold.
 
@@ -191,8 +191,7 @@ def fit_threshold_gmm(first_peaks, n_components: int = 3, seed: int = 0,
     raise last_error
 
 
-def fit_threshold_gmm_sweep(first_peaks, n_components: int = 3,
-                            seeds=(0, 1, 2, 3, 4)) -> GmmFit:
+def fit_threshold_gmm_sweep(first_peaks, n_components: int, seeds=(0, 1, 2, 3, 4)) -> GmmFit:
     """Fit once per seed and keep the highest-likelihood fit."""
     best = None
     for seed in seeds:

@@ -315,8 +315,7 @@ class AblationResult:
                                      "" if imp is None else f"{imp:.2f}"])
 
 
-def run_ablation_suite(split: WindowSplit, cfg: WindowConfig, tcfg: TrainConfig,
-                       seeds=(1, 2, 3)) -> AblationResult:
+def run_ablation_suite(split: WindowSplit, cfg: WindowConfig, tcfg: TrainConfig, seeds) -> AblationResult:
     """Train all four variants on identical windows for each seed and
     evaluate them on the test split."""
     if len(seeds) < 3:

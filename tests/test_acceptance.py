@@ -18,8 +18,8 @@ from periocast.cli import main
 from periocast.loss import LossConfig, batch_loss
 from periocast.model import (Ablation, WindowConfig, build_params, forward_batch,
                              make_windows, merge_splits)
-from periocast.neural import (ParamStore, Tape, add_autoencoder_slots, autoencoder,
-                              concat_cols, linear, pair_attention, recurrent_cell_step, tanh)
+from periocast.neural import (ParamStore, Tape, autoencoder, autoencoder_shapes, concat_cols,
+                              init_params, linear, pair_attention, recurrent_cell_step, tanh)
 from periocast.neural import add as tensor_add
 from periocast.periodicity import (PeriodicityConfig, build_knowledge, detect_period,
                                    dtw_distance, fit_threshold_gmm_sweep)
@@ -65,8 +65,11 @@ GRAD_TOL = 1e-5
 GRAD_CFG = WindowConfig(i=10, m=20, j=4, hidden=8, layers=2, ds_step=5, ds_window=20)
 
 
-def _fill(slot, rng, scale=0.8):
-    slot.data[:] = rng.normal(size=slot.data.shape) * scale
+def _filled(rng, scale=0.8, **shapes):
+    """A store of `shapes`' slots, each drawn from `rng` in order and times
+    `scale`, followed by those slots."""
+    store = ParamStore({name: rng.normal(size=shape) * scale for name, shape in shapes.items()})
+    return store, *(store[name] for name in shapes)
 
 
 def _primitive_runs(rng, seed):
@@ -78,58 +81,38 @@ def _primitive_runs(rng, seed):
     def proj_like(t):
         return rng.normal(size=t.data.shape)
 
-    st = ParamStore()
-    x, w, b = st.add("x", 3, 4), st.add("w", 4, 5), st.add("b", 1, 5)
-    for s in (x, w, b):
-        _fill(s, rng)
+    st, x, w, b = _filled(rng, x=(3, 4), w=(4, 5), b=(1, 5))
     p = {}
     runs.append(("linear", st,
                  lambda tape: [(out := linear(tape, x, w, b),
                                 p.setdefault("linear", proj_like(out)))]))
 
-    st2 = ParamStore()
-    xt = st2.add("x", 3, 5)
-    _fill(xt, rng)
+    st2, xt = _filled(rng, x=(3, 5))
     runs.append(("tanh", st2,
                  lambda tape: [(out := tanh(tape, xt), p.setdefault("tanh", proj_like(out)))]))
 
-    st3 = ParamStore()
-    a3, b3 = st3.add("a", 3, 5), st3.add("b", 1, 5)
-    _fill(a3, rng)
-    _fill(b3, rng)
+    st3, a3, b3 = _filled(rng, a=(3, 5), b=(1, 5))
     runs.append(("add", st3,
                  lambda tape: [(out := tensor_add(tape, a3, b3),
                                 p.setdefault("add", proj_like(out)))]))
 
-    st4 = ParamStore()
-    c0, c1 = st4.add("c0", 3, 2), st4.add("c1", 3, 3)
-    _fill(c0, rng)
-    _fill(c1, rng)
+    st4, c0, c1 = _filled(rng, c0=(3, 2), c1=(3, 3))
     runs.append(("concat", st4,
                  lambda tape: [(out := concat_cols(tape, [c0, c1]),
                                 p.setdefault("concat", proj_like(out)))]))
 
-    st6 = ParamStore()
-    q6, k6, v6 = st6.add("q", 3, 4), st6.add("k", 5, 4), st6.add("v", 5, 2)
-    for s in (q6, k6, v6):
-        _fill(s, rng)
+    st6, q6, k6, v6 = _filled(rng, q=(3, 4), k=(5, 4), v=(5, 2))
     runs.append(("attention", st6,
                  lambda tape: [(out := attention(tape, q6, k6, v6),
                                 p.setdefault("attn", proj_like(out)))]))
 
-    st8 = ParamStore()
-    q8, a8, b8 = st8.add("q", 3, 4), st8.add("c0", 3, 4), st8.add("c1", 3, 4)
-    for s in (q8, a8, b8):
-        _fill(s, rng)
+    st8, q8, a8, b8 = _filled(rng, q=(3, 4), c0=(3, 4), c1=(3, 4))
     runs.append(("pair_attention", st8,
                  lambda tape: [(out := pair_attention(tape, q8, a8, b8)[0],
                                 p.setdefault("pattn", proj_like(out)))]))
 
-    st9 = ParamStore()
-    x9, h9, c9 = st9.add("x", 3, 2), st9.add("h", 3, 4), st9.add("c", 3, 4)
-    wx9, wh9, b9 = st9.add("wx", 2, 16), st9.add("wh", 4, 16), st9.add("b", 1, 16)
-    for s in (x9, h9, c9, wx9, wh9, b9):
-        _fill(s, rng, 0.5)
+    st9, x9, h9, c9, wx9, wh9, b9 = _filled(rng, 0.5, x=(3, 2), h=(3, 4), c=(3, 4),
+                                            wx=(2, 16), wh=(4, 16), b=(1, 16))
 
     def run_cell(tape):
         h2, c2 = recurrent_cell_step(tape, x9, h9, c9, wx9, wh9, b9)
@@ -138,10 +121,9 @@ def _primitive_runs(rng, seed):
 
     runs.append(("recurrent_cell", st9, run_cell))
 
-    st10 = ParamStore()
-    x10 = st10.add("x", 3, 5)
-    _fill(x10, rng)
-    add_autoencoder_slots(st10, "ae", 5, Prng(seed))
+    ae = init_params(autoencoder_shapes("ae", 5), Prng(seed))
+    st10 = ParamStore({"x": rng.normal(size=(3, 5)) * 0.8} | {name: ae[name].data for name in ae.names()})
+    x10 = st10["x"]
     runs.append(("autoencoder", st10,
                  lambda tape: [(out := autoencoder(tape, x10, st10, "ae"),
                                 p.setdefault("ae", proj_like(out)))]))

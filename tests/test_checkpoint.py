@@ -6,16 +6,12 @@ import pytest
 
 from periocast.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from periocast.errors import CheckpointError
-from periocast.neural import ParamStore
+from periocast.neural import init_params
 from periocast.rng import Prng
 
 
 def _store():
-    store = ParamStore()
-    store.add("enc.w", 3, 4, Prng(0))
-    store.add("enc.b", 1, 4, None)
-    store.add("head.w", 4, 1, Prng(1))
-    return store
+    return init_params({"enc.w": (3, 4), "enc.b": (1, 4), "head.w": (4, 1)}, Prng(0))
 
 
 META = {"model": {"hidden": 4}, "ablation": "full", "seed": 3}

@@ -409,6 +409,8 @@ def test_malformed_checkpoint_exits_2(tmp_path, data_csv, capsys):
                  id="fractional-k-min"),
     pytest.param(lambda meta: {**meta, "period": {**meta["period"], "threshold": True}}, "bad meta",
                  id="boolean-threshold"),
+    pytest.param(lambda meta: {**meta, "model": {**meta["model"], "ds_step": True}}, "bad meta",
+                 id="boolean-ds-step"),
     pytest.param(lambda meta: [meta], "lacks model", id="meta-not-an-object"),
     # meta that no longer describes the stored tensors (trained with layers=1, hidden=3)
     pytest.param(lambda meta: {**meta, "model": {**meta["model"], "layers": 2}}, "do not fit",

@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import fields
 
@@ -5,9 +6,9 @@ import pytest
 
 from periocast.config import KEYS, RunConfig, key_help
 from periocast.errors import ConfigError
-from periocast.model import Ablation, WindowConfig
-from periocast.periodicity import PeriodicityConfig
-from periocast.training import TrainConfig
+from periocast.model import DEFAULT_SPLIT, Ablation, WindowConfig, make_windows
+from periocast.periodicity import PeriodicityConfig, fit_threshold_gmm, fit_threshold_gmm_sweep
+from periocast.training import TrainConfig, run_ablation_suite
 
 
 def test_defaults_without_inputs():
@@ -171,6 +172,13 @@ def test_key_defaults_are_the_dataclass_defaults():
     assert base.window_config() == WindowConfig()
     assert base.periodicity_config() == PeriodicityConfig()
     assert base.train_config() == TrainConfig()  # every train.* field and loss.mode
+    # train.split is make_windows' default; the GMM size and the ablation
+    # seeds have no library default to drift from their keys
+    split_default = inspect.signature(make_windows).parameters["split"].default
+    assert KEYS["train.split"][1] == split_default == DEFAULT_SPLIT
+    for fn, arg in ((fit_threshold_gmm, "n_components"), (fit_threshold_gmm_sweep, "n_components"),
+                    (run_ablation_suite, "seeds")):
+        assert inspect.signature(fn).parameters[arg].default is inspect.Parameter.empty, fn.__name__
 
 
 @pytest.mark.parametrize("key, value", [

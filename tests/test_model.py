@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from periocast.model import (
     fuse,
     make_windows,
     merge_splits,
+    param_shapes,
 )
 from periocast.neural import Tape, Tensor
 from periocast.periodicity import (
@@ -201,6 +203,8 @@ def test_window_config_meta_round_trip():
         assert WindowConfig.from_meta({**cfg.to_meta(), "d": 1}) == cfg
     with pytest.raises(TypeError):
         WindowConfig.from_meta({**cfg.to_meta(), "hidden": 7.5})
+    with pytest.raises(TypeError):  # JSON true is not the integer 1
+        WindowConfig.from_meta({**cfg.to_meta(), "ds_step": True})
 
 
 def test_ablation_flags():
@@ -219,6 +223,28 @@ def test_param_count_small_reference():
     dec = 2 * (10 * h) + (1 * 4 * h + h * 4 * h + 4 * h) + (h * 1 + 1)
     fuse_n = (10 * 4 + 4) + (4 * 1 + 1 + 1 * 4 + 4)
     assert store.n_params == enc + dec + fuse_n
+
+
+@pytest.mark.parametrize("ablation", list(Ablation))
+def test_build_params_lays_out_param_shapes(ablation):
+    cfg = WindowConfig(i=10, m=20, j=4, hidden=8, layers=3, ds_step=5, ds_window=20)
+    store = build_params(cfg, ablation, seed_or_rng=2)
+    shapes = param_shapes(cfg, ablation)
+    assert store.names() == list(shapes)
+    assert all(store[name].data.shape == shape for name, shape in shapes.items())
+    assert store.n_params == sum(rows * cols for rows, cols in shapes.values())
+    for name in store.names():
+        assert (store[name].data == 0.0).all() == name.endswith(".b"), name
+
+
+def test_init_digest_is_pinned():
+    # the benchmark model (periobench/workloads.py WINDOW) at seed 0; a change
+    # in draw order, bounds or slot order changes every trained number
+    cfg = WindowConfig(i=24, m=48, j=2, hidden=32, layers=2, ds_step=8, ds_window=48)
+    store = build_params(cfg, Ablation.FULL, 0)
+    assert store.n_params == 18_650
+    assert (hashlib.sha256(store.values.tobytes()).hexdigest()
+            == "a115316ee8ae072ff615629b948bcf94b7d63b81208be6734592a87db3526a33")
 
 
 def test_no_period_store_is_prefix_of_full():

@@ -12,10 +12,11 @@ from periocast.neural import (
     Tape,
     Tensor,
     add,
-    add_autoencoder_slots,
     autoencoder,
+    autoencoder_shapes,
     concat_cols,
     gates,
+    init_params,
     linear,
     pair_attention,
     recurrent_cell_step,
@@ -26,6 +27,11 @@ from periocast.neural import (
 from periocast.rng import Prng
 
 FD_TOL = 1e-6
+
+
+def _zeros(**shapes):
+    """A store of zero slots, named and shaped as `shapes`, in order."""
+    return ParamStore({name: np.zeros(shape) for name, shape in shapes.items()})
 
 
 # --- tensors and tape --------------------------------------------------------
@@ -62,7 +68,7 @@ def test_backward_skips_tensors_without_a_buffer():
     # has none, so only the parameter receives a gradient
     tape = Tape()
     x = Tensor(np.arange(6.0).reshape(2, 3))
-    w = ParamStore().add("w", 3, 2, Prng(0))
+    w = init_params({"w": (3, 2)}, Prng(0))["w"]
     y = linear(tape, x, w)
     assert np.array_equal(y.grad, np.zeros((2, 2)))
     y.grad += 1.0
@@ -83,11 +89,7 @@ def test_non_recording_matches_recording_values():
 # --- parameter store -----------------------------------------------------------
 
 def test_store_flat_round_trip():
-    store = ParamStore()
-    rng = Prng(0)
-    store.add("a", 3, 4, rng)
-    store.add("b", 2, 2, rng)
-    store.add("c", 1, 5, None)
+    store = init_params({"a": (3, 4), "w": (2, 2), "b": (1, 5)}, Prng(0))
     flat = store.get_flat()
     assert flat.size == store.n_params == 3 * 4 + 2 * 2 + 5
     store.set_flat(flat * 2.0)
@@ -95,10 +97,7 @@ def test_store_flat_round_trip():
 
 
 def test_store_flat_index_maps_to_single_slot_element():
-    store = ParamStore()
-    rng = Prng(1)
-    store.add("a", 2, 3, rng)
-    store.add("b", 3, 1, rng)
+    store = init_params({"a": (2, 3), "w": (3, 1)}, Prng(1))
     base = store.get_flat()
     for idx in (0, 5, 6, 8):
         vec = base.copy()
@@ -117,25 +116,15 @@ def test_store_flat_index_maps_to_single_slot_element():
 
 
 def test_store_init_bounds_and_zero_bias():
-    store = ParamStore()
-    store.add("w", 16, 8, Prng(3))
-    store.add("b", 1, 8, None)
+    store = init_params({"w": (16, 8), "b": (1, 8), "enc.b": (1, 3)}, Prng(3))
     bound = 1.0 / math.sqrt(16)
     assert np.all(np.abs(store["w"].data) < bound)
     assert np.all(store["b"].data == 0.0)
-
-
-def test_store_rejects_duplicate_names():
-    store = ParamStore()
-    store.add("w", 1, 1, None)
-    with pytest.raises(ValueError):
-        store.add("w", 1, 1, None)
+    assert np.all(store["enc.b"].data == 0.0)
 
 
 def test_store_copy_is_independent():
-    store = ParamStore()
-    store.add("w", 2, 2, Prng(0))
-    store.add("b", 1, 3, Prng(1))
+    store = init_params({"w": (2, 2), "v": (1, 3)}, Prng(0))
     store.grads.fill(1.0)
     dup = store.copy()
     assert dup.names() == store.names()
@@ -148,22 +137,15 @@ def test_store_copy_is_independent():
     dup["w"].data[0, 0] += 9.0
     assert store["w"].data[0, 0] != dup["w"].data[0, 0]
     assert dup.values[0] == dup["w"].data[0, 0]
-    dup.add("c", 2, 1, Prng(2))  # growing the copy keeps its earlier slots
-    assert dup["w"].data[0, 0] == dup.values[0]
 
 
 def test_store_grad_flat_zeros_for_untouched():
-    store = ParamStore()
-    store.add("w", 2, 2, Prng(0))
+    store = init_params({"w": (2, 2)}, Prng(0))
     assert np.array_equal(store.grad_flat(), np.zeros(4))
 
 
 def test_store_slots_are_views_into_one_buffer():
-    store = ParamStore()
-    store.add("w", 3, 4, Prng(0))
-    for k in range(6):  # enough later adds to re-pack the buffer
-        store.add(f"s{k}", 5, 7, Prng(k + 1))
-    store.add("b", 1, 9)
+    store = init_params({"w": (3, 4), **{f"s{k}": (5, 7) for k in range(6)}, "b": (1, 9)}, Prng(0))
     assert not store["b"].data.any() and not store.grads.any()
     assert np.shares_memory(store["w"].data, store.values)
     assert np.shares_memory(store["w"].grad, store.grads)
@@ -174,17 +156,15 @@ def test_store_slots_are_views_into_one_buffer():
 
 
 def test_store_data_sees_later_set_flat():
-    store = ParamStore()
-    store.add("a", 2, 3, Prng(0))
-    store.add("w", 2, 2, Prng(1))
+    store = init_params({"a": (2, 3), "w": (2, 2)}, Prng(0))
     w = store["w"].data
     store.set_flat(np.full(store.n_params, 0.5))
     assert np.array_equal(w, np.full((2, 2), 0.5))
 
 
 def test_store_flat_reads_are_copies():
-    store = ParamStore()
-    w = store.add("w", 2, 2, Prng(0))
+    store = init_params({"w": (2, 2)}, Prng(0))
+    w = store["w"]
     base = store.get_flat()
     grads = store.grad_flat()
     store.set_flat(base + 1.0)
@@ -234,11 +214,8 @@ def _check_op(build, n_seeds=5, floor=1e-8):
 
 def test_linear_gradients():
     def build(rng):
-        store = ParamStore()
-        w = store.add("w", 4, 3, None)
-        b = store.add("b", 1, 3, None)
-        w.data[:] = rng.normal(size=(4, 3))
-        b.data[:] = rng.normal(size=(1, 3))
+        store = ParamStore({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))})
+        w, b = store["w"], store["b"]
         x_arr = rng.normal(size=(5, 4))
         x = Tensor(x_arr)
 
@@ -261,7 +238,7 @@ def test_linear_hand_example():
 
 def test_tanh_gradients():
     def build(rng):
-        store = ParamStore()
+        store = ParamStore({})
         x_arr = rng.normal(size=(3, 4))
         x = Tensor(x_arr)
 
@@ -276,7 +253,7 @@ def test_tanh_gradients():
 
 def test_add_broadcast_gradients():
     def build(rng):
-        store = ParamStore()
+        store = ParamStore({})
         a_arr = rng.normal(size=(4, 3))
         b_arr = rng.normal(size=(1, 3))
         a, b = Tensor(a_arr), Tensor(b_arr)
@@ -292,7 +269,7 @@ def test_add_broadcast_gradients():
 
 def test_concat_select_gradients():
     def build(rng):
-        store = ParamStore()
+        store = ParamStore({})
         a_arr = rng.normal(size=(3, 2))
         b_arr = rng.normal(size=(3, 4))
         a, b = Tensor(a_arr), Tensor(b_arr)
@@ -308,7 +285,7 @@ def test_concat_select_gradients():
 
 def test_attention_gradients():
     def build(rng):
-        store = ParamStore()
+        store = ParamStore({})
         q_arr = rng.normal(size=(3, 4))
         k_arr = rng.normal(size=(5, 4))
         v_arr = rng.normal(size=(5, 2))
@@ -398,7 +375,7 @@ def test_pair_attention_swap_symmetry():
 
 def test_pair_attention_gradients():
     def build(rng):
-        store = ParamStore()
+        store = ParamStore({})
         q_arr = rng.normal(size=(3, 4))
         c0_arr = rng.normal(size=(3, 4))
         c1_arr = rng.normal(size=(3, 4))
@@ -417,10 +394,8 @@ def test_pair_attention_gradients():
 
 def test_cell_zero_params_give_zero_state():
     hidden = 3
-    store = ParamStore()
-    wx = store.add("wx", 2, 4 * hidden, None)
-    wh = store.add("wh", hidden, 4 * hidden, None)
-    b = store.add("b", 1, 4 * hidden, None)
+    store = _zeros(wx=(2, 4 * hidden), wh=(hidden, 4 * hidden), b=(1, 4 * hidden))
+    wx, wh, b = store["wx"], store["wh"], store["b"]
     x = Tensor(np.ones((4, 2)))
     h = Tensor(np.zeros((4, hidden)))
     c = Tensor(np.zeros((4, hidden)))
@@ -459,10 +434,8 @@ def test_gates_match_exp_logistic_and_tanh():
 
 def test_cell_scalar_hand_example():
     # hidden 1, input 1: every gate computable with a calculator
-    store = ParamStore()
-    wx = store.add("wx", 1, 4, None)
-    wh = store.add("wh", 1, 4, None)
-    b = store.add("b", 1, 4, None)
+    store = _zeros(wx=(1, 4), wh=(1, 4), b=(1, 4))
+    wx, wh, b = store["wx"], store["wh"], store["b"]
     wx.data[:] = [[0.5, -0.25, 1.0, 0.75]]
     wh.data[:] = [[0.1, 0.2, -0.3, 0.4]]
     b.data[:] = [[0.05, -0.05, 0.0, 0.1]]
@@ -489,13 +462,7 @@ def test_cell_unrolled_gradients():
     hidden, d_in, steps, batch = 3, 2, 5, 2
 
     def build(rng):
-        store = ParamStore()
-        wx = store.add("wx", d_in, 4 * hidden, None)
-        wh = store.add("wh", hidden, 4 * hidden, None)
-        b = store.add("b", 1, 4 * hidden, None)
-        wx.data[:] = rng.normal(size=wx.data.shape) * 0.5
-        wh.data[:] = rng.normal(size=wh.data.shape) * 0.5
-        b.data[:] = rng.normal(size=b.data.shape) * 0.1
+        store, [(wx, wh, b)] = _stack_store(1, d_in, hidden, rng)
         xs_arr = rng.normal(size=(steps, batch, d_in))
 
         def f(tape):
@@ -513,10 +480,8 @@ def test_cell_unrolled_gradients():
 
 
 def test_cell_shape_validation():
-    store = ParamStore()
-    wx = store.add("wx", 2, 8, None)
-    wh = store.add("wh", 2, 8, None)
-    b = store.add("b", 1, 8, None)
+    store = _zeros(wx=(2, 8), wh=(2, 8), b=(1, 8))
+    wx, wh, b = store["wx"], store["wh"], store["b"]
     x = Tensor(np.zeros((1, 3)))  # wrong input width
     h = Tensor(np.zeros((1, 2)))
     c = Tensor(np.zeros((1, 2)))
@@ -532,17 +497,14 @@ def test_cell_shape_validation():
 STACK_TOL = 64 * np.finfo(np.float64).eps
 
 
-def _cell_slots(store, d_in, hidden, rng, prefix=""):
-    slots = (store.add(f"{prefix}wx", d_in, 4 * hidden), store.add(f"{prefix}wh", hidden, 4 * hidden),
-             store.add(f"{prefix}b", 1, 4 * hidden))
-    for slot, spread in zip(slots, (0.5, 0.5, 0.1)):
-        slot.data[:] = rng.normal(size=slot.data.shape) * spread
-    return slots
-
-
-def _stack_slots(store, layers, d_in, hidden, rng):
-    return [_cell_slots(store, d_in if layer == 0 else hidden, hidden, rng, f"l{layer}.")
-            for layer in range(layers)]
+def _stack_store(layers, d_in, hidden, rng):
+    """A store of `layers` cells drawn from `rng`, bottom first, and each
+    layer's (wx, wh, b) slots."""
+    store = ParamStore({f"l{layer}.{name}": rng.normal(size=(rows, 4 * hidden)) * spread
+                        for layer in range(layers)
+                        for name, rows, spread in (("wx", d_in if layer == 0 else hidden, 0.5),
+                                                   ("wh", hidden, 0.5), ("b", 1, 0.1))})
+    return store, [tuple(store[f"l{layer}.{name}"] for name in ("wx", "wh", "b")) for layer in range(layers)]
 
 
 def _per_layer(tape, xs, cells):
@@ -561,7 +523,7 @@ def test_sequence_matches_cell_steps(rows):
     # without a tape and with the top layer's rolling rows
     steps, d_in, hidden = 6, 3, 4
     rng = np.random.default_rng(rows)
-    wx, wh, b = _cell_slots(ParamStore(), d_in, hidden, rng)
+    _, [(wx, wh, b)] = _stack_store(1, d_in, hidden, rng)
     xs = rng.normal(size=(steps, rows, d_in))
     ref = cell_per_tick(Tape(recording=False), [Tensor(x) for x in xs], wx, wh, b)
     for recording in (False, True):
@@ -583,8 +545,7 @@ def test_stack_matches_per_layer_oracle(rows, steps, layers):
     # including sequences shorter than the stack
     d_in, hidden = 2, 4
     rng = np.random.default_rng(100 * layers + 10 * steps + rows)
-    store = ParamStore()
-    cells = _stack_slots(store, layers, d_in, hidden, rng)
+    store, cells = _stack_store(layers, d_in, hidden, rng)
     xs = rng.normal(size=(steps, rows, d_in))
     seed = rng.normal(size=(rows, hidden))
     got = {}
@@ -629,8 +590,7 @@ def test_stack_gradients(steps, layers):
     batch, d_in, hidden = 2, 2, 3
 
     def build(rng):
-        store = ParamStore()
-        cells = _stack_slots(store, layers, d_in, hidden, rng)
+        store, cells = _stack_store(layers, d_in, hidden, rng)
         xs = rng.normal(size=(steps, batch, d_in))
         return (lambda tape: recurrent_stack(tape, xs, cells)), store, []
 
@@ -645,9 +605,7 @@ def test_sequence_gradients(keep_top):
     steps, batch, d_in, hidden = 4, 2, 2, 3
 
     def build(rng):
-        store = ParamStore()
-        lower = _cell_slots(store, d_in, hidden, rng, "l0.")
-        upper = _cell_slots(store, hidden, hidden, rng, "l1.")
+        store, (lower, upper) = _stack_store(2, d_in, hidden, rng)
         xs_arr = rng.normal(size=(steps * batch, d_in))
         xs = Tensor(xs_arr)
 
@@ -663,10 +621,8 @@ def test_sequence_gradients(keep_top):
 
 
 def test_sequence_shape_validation():
-    store = ParamStore()
-    wx = store.add("wx", 2, 8, None)
-    wh = store.add("wh", 2, 8, None)
-    b = store.add("b", 1, 8, None)
+    store = _zeros(wx=(2, 8), wh=(2, 8), b=(1, 8), b2=(2, 8))
+    wx, wh, b = store["wx"], store["wh"], store["b"]
     recurrent_sequence(Tape(), Tensor(np.zeros((6, 2))), 3, wx, wh, b)
     for xs, steps in ((np.zeros((6, 3)), 3),   # wrong input width
                       (np.zeros((7, 2)), 3),   # rows do not split into ticks
@@ -674,22 +630,23 @@ def test_sequence_shape_validation():
         with pytest.raises(ShapeMismatch):
             recurrent_sequence(Tape(), Tensor(xs), steps, wx, wh, b)
     with pytest.raises(ShapeMismatch):
-        recurrent_sequence(Tape(), Tensor(np.zeros((6, 2))), 3, wx, wh, store.add("b2", 2, 8, None))
+        recurrent_sequence(Tape(), Tensor(np.zeros((6, 2))), 3, wx, wh, store["b2"])
 
 
 def test_stack_shape_validation():
-    store = ParamStore()
-    cells = [(store.add("l0.wx", 3, 8), store.add("l0.wh", 2, 8), store.add("l0.b", 1, 8)),
-             (store.add("l1.wx", 2, 8), store.add("l1.wh", 2, 8), store.add("l1.b", 1, 8))]
+    store = _zeros(**{"l0.wx": (3, 8), "l0.wh": (2, 8), "l0.b": (1, 8), "l1.wx": (2, 8), "l1.wh": (2, 8),
+                      "l1.b": (1, 8), "w.wx": (2, 12), "w.wh": (3, 12), "w.b": (1, 12), "b2": (2, 8)})
+    l0, l1, wide = (tuple(store[f"{prefix}.{name}"] for name in ("wx", "wh", "b"))
+                    for prefix in ("l0", "l1", "w"))
+    cells = [l0, l1]
     assert recurrent_stack(Tape(), np.zeros((5, 4, 3)), cells).data.shape == (4, 2)
-    wide = (store.add("w.wx", 2, 12), store.add("w.wh", 3, 12), store.add("w.b", 1, 12))
     for xs, bad in ((np.zeros((20, 3)), cells),                  # not (steps, batch, d_in)
                     (np.zeros((0, 4, 3)), cells),                # no tick
                     (np.zeros((5, 4, 3)), []),                   # no layer
                     (np.zeros((5, 4, 2)), cells),                # wrong input width
                     (np.zeros((5, 4, 3)), [cells[0], cells[0]]),  # upper wx not (hidden, 4 * hidden)
                     (np.zeros((5, 4, 3)), [cells[0], wide]),      # layers of different widths
-                    (np.zeros((5, 4, 3)), [cells[0], (cells[1][0], cells[1][1], store.add("b2", 2, 8))])):
+                    (np.zeros((5, 4, 3)), [cells[0], (cells[1][0], cells[1][1], store["b2"])])):
         with pytest.raises(ShapeMismatch):
             recurrent_stack(Tape(), xs, bad)
 
@@ -697,16 +654,14 @@ def test_stack_shape_validation():
 # --- autoencoder ------------------------------------------------------------------
 
 def test_autoencoder_zero_params_output_bias():
-    store = ParamStore()
-    add_autoencoder_slots(store, "ae", 3, None)
+    store = _zeros(**autoencoder_shapes("ae", 3))
     x = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
     out = autoencoder(Tape(recording=False), x, store, "ae")
     assert np.all(out.data == 0.0)
 
 
 def test_autoencoder_hand_example():
-    store = ParamStore()
-    add_autoencoder_slots(store, "ae", 2, None)
+    store = _zeros(**autoencoder_shapes("ae", 2))
     store["ae.enc.w"].data[:] = [[0.5], [-0.5]]
     store["ae.enc.b"].data[:] = [[0.1]]
     store["ae.dec.w"].data[:] = [[2.0, -1.0]]
@@ -720,8 +675,7 @@ def test_autoencoder_hand_example():
 
 def test_autoencoder_gradients():
     def build(rng):
-        store = ParamStore()
-        add_autoencoder_slots(store, "ae", 4, Prng(int(rng.integers(1000))))
+        store = init_params(autoencoder_shapes("ae", 4), Prng(int(rng.integers(1000))))
         x_arr = rng.normal(size=(3, 4))
         x = Tensor(x_arr)
 

@@ -60,10 +60,7 @@ def test_effective_loss_forced_to_mse_by_ablation():
 # --- optimizers ---------------------------------------------------------------------
 
 def _one_param_store(value=1.0):
-    store = ParamStore()
-    store.add("w", 1, 1, None)
-    store["w"].data[0, 0] = value
-    return store
+    return ParamStore({"w": [[value]]})
 
 
 def test_sgd_step_exact():
