@@ -4,8 +4,8 @@ Subcommands: generate, detect-period, train, predict, evaluate, ablate.
 Every command takes --config FILE (flat JSON) plus repeated --set key=value
 overrides, and writes its resolved configuration next to its outputs.
 
-Exit codes: 0 success, 1 configuration problems, 2 unreadable or malformed
-input files, 3 numeric failures.
+Exit codes: 0 success, 1 configuration problems or no windows to work on,
+2 unreadable or malformed input files, 3 numeric failures.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from .errors import (
     CheckpointError,
     ConfigError,
     EmptyTrainSet,
-    NumericError,
     PeriocastError,
     SeriesTooShort,
     TraceIOError,
     ZeroVariance,
 )
-from .model import Ablation, WindowConfig, WindowSet, make_windows, merge_splits, param_shapes
+from .model import Ablation, WindowConfig, WindowSet, WindowSplit, make_windows, merge_splits, param_shapes
 from .periodicity import (
     PeriodicityConfig,
     build_knowledge,
@@ -49,48 +48,47 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _common_flags(sub):
-    sub.add_argument("--config", help="JSON file of flat config keys")
-    sub.add_argument("--set", dest="overrides", action="append", default=[],
-                     metavar="KEY=VALUE", help="override one config key")
-
-
 def _load_series(cfg: RunConfig, data: str) -> list[WorkloadSeries]:
     schema = cfg.schema()
     traces = load_csv(data, schema, allow_gaps=cfg["io.allow_gaps"])
     return [normalize(t, tick=schema.tick) for t in traces]
 
 
-def _train_slice(series: WorkloadSeries, split) -> WorkloadSeries:
-    n = int(split[0] * len(series))
-    return WorkloadSeries(series.machine_id, series.values[:n], series.scale, series.tick)
-
-
-def _build_windows(series_list, cfg: RunConfig, wcfg: WindowConfig,
-                   pcfg: PeriodicityConfig, split):
-    """Detect periods on each machine's training slice, then cut windows.
+def _windows(cfg: RunConfig, data: str, wcfg: WindowConfig, pcfg: PeriodicityConfig) -> WindowSplit:
+    """Load `data`, detect each machine's period on its training slice, cut
+    its windows with `cfg["train.split"]` and merge the machines' splits.
 
     Machines that are too short or constant are skipped with a warning so a
     single dead trace does not abort a fleet run.
     """
+    split = cfg["train.split"]
     splits = []
-    reports = {}
-    for series in series_list:
-        head = _train_slice(series, split)
+    for series in _load_series(cfg, data):
+        head = dataclasses.replace(series, values=series.values[:int(split[0] * len(series))])
         try:
-            report = detect_period(head, pcfg)
-            knowledge = build_knowledge(head, report)
+            knowledge = build_knowledge(head, detect_period(head, pcfg))
         except (ZeroVariance, SeriesTooShort) as exc:
             print(f"warning: {series.machine_id}: {exc}; treating as aperiodic", file=sys.stderr)
-            report, knowledge = None, None
-        reports[series.machine_id] = report
+            knowledge = None
         try:
             splits.append(make_windows(series, knowledge, wcfg, pcfg, split))
         except SeriesTooShort as exc:
             print(f"warning: skipping {series.machine_id}: {exc}", file=sys.stderr)
     if not splits:
         raise EmptyTrainSet(f"no machine is long enough for m + j = {wcfg.m + wcfg.j} ticks")
-    return merge_splits(splits), reports
+    return merge_splits(splits)
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _record(cfg: RunConfig, out: Path, args, **extra) -> None:
+    """Write the resolved configuration, the command and its data file to
+    `out/config.json`."""
+    cfg.write(out / "config.json", {"command": args.command, "data": str(args.data), **extra})
 
 
 def _pick_split(split_set, name: str) -> WindowSet:
@@ -137,8 +135,7 @@ def cmd_generate(args) -> int:
 def cmd_detect_period(args) -> int:
     cfg = RunConfig.resolve(args.config, args.overrides)
     pcfg = cfg.periodicity_config()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     series_list = _load_series(cfg, args.data)
 
     rows = []
@@ -186,7 +183,7 @@ def cmd_detect_period(args) -> int:
             print(f"warning: --auto-threshold needs >= 10 machines with a first peak and "
                   f"period.gmm_components={components} distinct peak values, got {len(peaks)} "
                   f"machines and {distinct} values; skipping", file=sys.stderr)
-    cfg.write(out / "config.json", {"command": "detect-period", "data": str(args.data)})
+    _record(cfg, out, args)
     return 0
 
 
@@ -209,22 +206,15 @@ def cmd_train(args) -> int:
     wcfg = cfg.window_config()
     pcfg = cfg.periodicity_config()
     tcfg = cfg.train_config()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    series_list = _load_series(cfg, args.data)
-    try:
-        split_set, _ = _build_windows(series_list, cfg, wcfg, pcfg, cfg["train.split"])
-        store, log = train(split_set.train, wcfg, tcfg, split_set.val)
-    except EmptyTrainSet as exc:
-        raise ConfigError(str(exc)) from exc
+    out = _out_dir(args)
+    split_set = _windows(cfg, args.data, wcfg, pcfg)
+    store, log = train(split_set.train, wcfg, tcfg, split_set.val)
 
     meta = _checkpoint_meta(cfg, wcfg, tcfg, log.best_epoch)
     ckpt_path = out / f"epoch-{log.best_epoch}.ckpt"
     checksum = ckpt.save_checkpoint(ckpt_path, store, meta)
     log.write_csv(out / "trainlog.csv")
-    cfg.write(out / "config.json", {"command": "train", "data": str(args.data),
-                                    "checkpoint": ckpt_path.name})
+    _record(cfg, out, args, checkpoint=ckpt_path.name)
     best_val = log.val_mse[log.best_epoch] if log.val_mse and log.best_epoch >= 0 else None
     print(f"trained {tcfg.ablation.value} for {len(log.train_loss)} epochs "
           f"({len(split_set.train)} train / {len(split_set.val)} val windows)")
@@ -235,7 +225,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model(cfg: RunConfig, checkpoint_path: str):
-    store, meta, checksum = ckpt.load_checkpoint(checkpoint_path)
+    store, meta, _ = ckpt.load_checkpoint(checkpoint_path)
     wcfg, stored, ablation = _checkpoint_settings(meta, checkpoint_path)
     _check_slots(store, param_shapes(wcfg, ablation), checkpoint_path)
     model = {f"model.{name}": value for name, value in dataclasses.asdict(wcfg).items()}
@@ -246,7 +236,7 @@ def _load_model(cfg: RunConfig, checkpoint_path: str):
     # The stored settings win, so windows are cut the same way and the
     # written config.json records the model that was served.
     cfg.values.update(model | stored)
-    return store, meta, checksum, wcfg, ablation
+    return store, wcfg, ablation
 
 
 def _check_slots(store, want, path) -> None:
@@ -285,15 +275,9 @@ def _served_windows(args):
     output directory and the windows of the requested split, cut with the
     checkpoint's period and split settings."""
     cfg = RunConfig.resolve(args.config, args.overrides)
-    store, _, _, wcfg, ablation = _load_model(cfg, args.checkpoint)
-    pcfg = cfg.periodicity_config()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    series_list = _load_series(cfg, args.data)
-    try:
-        split_set, _ = _build_windows(series_list, cfg, wcfg, pcfg, cfg["train.split"])
-    except EmptyTrainSet as exc:
-        raise ConfigError(f"model.m+model.j: {exc}") from exc
+    store, wcfg, ablation = _load_model(cfg, args.checkpoint)
+    out = _out_dir(args)
+    split_set = _windows(cfg, args.data, wcfg, cfg.periodicity_config())
     return cfg, store, wcfg, ablation, out, _pick_split(split_set, args.split)
 
 
@@ -315,8 +299,7 @@ def cmd_predict(args) -> int:
                     w1 = wts[idx, 1] if wts is not None else 0.0
                     row += [repr(float(yhat[idx, step])), repr(float(w0)), repr(float(w1))]
                 writer.writerow(row)
-    cfg.write(out / "config.json", {"command": "predict", "data": str(args.data),
-                                    "checkpoint": str(args.checkpoint), "split": args.split})
+    _record(cfg, out, args, checkpoint=str(args.checkpoint), split=args.split)
     print(f"wrote {len(windows) * wcfg.j} predicted points for {len(windows)} windows")
     return 0
 
@@ -325,8 +308,7 @@ def cmd_evaluate(args) -> int:
     cfg, store, wcfg, ablation, out, windows = _served_windows(args)
     report = evaluate(store, windows, wcfg, ablation)
     report.write_csv(out / "eval.csv")
-    cfg.write(out / "config.json", {"command": "evaluate", "data": str(args.data),
-                                    "checkpoint": str(args.checkpoint), "split": args.split})
+    _record(cfg, out, args, checkpoint=str(args.checkpoint), split=args.split)
     agg = report.aggregate
     print(f"overall mse {agg.overall.mse:.6f} mae {agg.overall.mae:.6f} "
           f"mape {agg.overall.mape:.4f} ({agg.overall.n} points)")
@@ -349,22 +331,34 @@ def cmd_ablate(args) -> int:
     seeds = cfg["train.ablation_seeds"]
     if len(seeds) < 3:
         raise ConfigError("the ablation suite needs at least 3 seeds")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    series_list = _load_series(cfg, args.data)
-    try:
-        split_set, _ = _build_windows(series_list, cfg, wcfg, pcfg, cfg["train.split"])
-        result = run_ablation_suite(split_set, wcfg, tcfg, seeds)
-    except EmptyTrainSet as exc:
-        raise ConfigError(str(exc)) from exc
+    out = _out_dir(args)
+    result = run_ablation_suite(_windows(cfg, args.data, wcfg, pcfg), wcfg, tcfg, seeds)
     result.write_csv(out / "ablation.csv")
-    cfg.write(out / "config.json", {"command": "ablate", "data": str(args.data)})
+    _record(cfg, out, args)
     for ablation in (Ablation.NO_PERIOD, Ablation.MSE_LOSS, Ablation.NEITHER):
         for which in ("overall", "heavy"):
             imps = [result.improvement(ablation, s, which) for s in seeds]
             shown = ["n/a" if v is None else f"{v:+.1f}%" for v in imps]
             print(f"full vs {ablation.value:<10} {which:<8} {' '.join(shown)}")
     return 0
+
+
+def _command(sub, name: str, help: str, func, checkpoint: bool = False) -> argparse.ArgumentParser:
+    """Add a subcommand that reads `--data`, writes under `--out` and takes
+    `--config`/`--set`; one that serves a `--checkpoint` also picks a
+    `--split`."""
+    p = sub.add_parser(name, help=help, epilog=key_help(),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    if checkpoint:
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--split", default="test", choices=["train", "val", "test", "all"])
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--config", help="JSON file of flat config keys")
+    p.add_argument("--set", dest="overrides", action="append", default=[],
+                   metavar="KEY=VALUE", help="override one config key")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,49 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("detect-period", help="per-machine periodicity verdicts",
-                       epilog=key_help(), formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = _command(sub, "detect-period", "per-machine periodicity verdicts", cmd_detect_period)
     p.add_argument("--auto-threshold", action="store_true",
                    help="fit a mixture to the first ACF peaks and derive the threshold")
-    _common_flags(p)
-    p.set_defaults(func=cmd_detect_period)
-
-    p = sub.add_parser("train", help="train one forecaster over all machines",
-                       epilog=key_help(), formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _common_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="write per-window forecasts",
-                       epilog=key_help(), formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test", "all"])
+    _command(sub, "train", "train one forecaster over all machines", cmd_train)
+    p = _command(sub, "predict", "write per-window forecasts", cmd_predict, checkpoint=True)
     p.add_argument("--explain", action="store_true",
                    help="include the decoded sequence and fusing weights")
-    _common_flags(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="error metrics on a split",
-                       epilog=key_help(), formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test", "all"])
-    _common_flags(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("ablate", help="train and compare all four variants",
-                       epilog=key_help(), formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    _command(sub, "evaluate", "error metrics on a split", cmd_evaluate, checkpoint=True)
+    p = _command(sub, "ablate", "train and compare all four variants", cmd_ablate)
     p.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
-    _common_flags(p)
-    p.set_defaults(func=cmd_ablate)
     return parser
 
 
@@ -437,15 +398,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EmptyTrainSet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TraceIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PeriocastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

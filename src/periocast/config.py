@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .loss import LossConfig
 from .model import DEFAULT_SPLIT, Ablation, WindowConfig
 from .periodicity import PeriodicityConfig
+from .traceio import SCHEMAS
 from .training import TrainConfig
 
 
@@ -83,7 +84,6 @@ def _ablation(text: str) -> str:
 
 
 def _schema_name(text: str) -> str:
-    from .traceio import SCHEMAS
     name = str(text).strip()
     if name not in SCHEMAS:
         raise ValueError(f"unknown schema {name!r}; choose from {sorted(SCHEMAS)}")
@@ -196,7 +196,6 @@ class RunConfig:
             raise ConfigError(f"bad train config: {exc}") from exc
 
     def schema(self):
-        from .traceio import SCHEMAS
         schema = SCHEMAS[self["io.schema"]]
         if self["io.tick"] is not None:
             schema = replace(schema, tick=self["io.tick"])

@@ -82,7 +82,8 @@ class NonFiniteLoss(NumericError):
 
 
 class EmptyTrainSet(NumericError):
-    pass
+    """No windows to train or serve; the CLI exits 1, as for a config error,
+    because a longer trace or another split or window size fixes it."""
 
 
 class TapeConsumed(PeriocastError):

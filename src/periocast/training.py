@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -43,12 +44,14 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
+            raise ValueError("epochs, batch_size and patience must be >= 1")
+        if not (0.0 <= self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive when set")
+        if self.grad_clip is not None and not (0.0 < self.grad_clip < math.inf):
+            raise ValueError(f"grad_clip must be finite and positive when set, got {self.grad_clip}")
 
     def effective_loss(self) -> LossConfig:
         return LossConfig("mse") if self.ablation.plain_mse else self.loss

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import save_csv_rowwise
-from periocast.cli import main
+from periocast.cli import build_parser, main
+from periocast.config import key_help
 from periocast.checkpoint import load_checkpoint, save_checkpoint
 from periocast.traceio import SCHEMAS, RawTrace, SyntheticSpec, generate, load_csv, save_csv
 
@@ -192,12 +194,43 @@ def test_train_deterministic_checkpoints(tmp_path, data_csv):
     assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
 
 
-def test_train_too_short_data_is_config_error(tmp_path, data_csv, capsys):
-    out = tmp_path / "run"
-    rc = main(["train", "--data", str(data_csv), "--out", str(out),
-               *TINY_MODEL, *TINY_TRAIN, "--set", "model.m=120"])
+@pytest.mark.parametrize("command, setting, message", [
+    pytest.param("train", "model.m=120", "no machine is long enough for m + j = 122 ticks", id="train-too-short"),
+    pytest.param("ablate", "model.m=120", "no machine is long enough for m + j = 122 ticks", id="ablate-too-short"),
+    pytest.param("predict", None, "no machine is long enough for m + j = 14 ticks", id="predict-too-short"),
+    pytest.param("evaluate", None, "no machine is long enough for m + j = 14 ticks", id="evaluate-too-short"),
+    pytest.param("train", "train.split=0.0,0.5,0.5", "no training windows", id="train-no-train-split"),
+    pytest.param("ablate", "train.split=0.0,0.5,0.5", "no training windows", id="ablate-no-train-split"),
+])
+def test_train_too_short_data_is_config_error(tmp_path, data_csv, capsys, command, setting, message):
+    if setting is None:
+        # the checkpoint's model needs m + j = 14 ticks; serve it 13
+        _, ckpt_path = _train(tmp_path, data_csv)
+        short = tmp_path / "short.csv"
+        assert main(["generate", "--out", str(short), "--machines", "2", "--length", "13",
+                     "--period", "4", "--seed", "5"]) == 0
+        argv = [command, "--checkpoint", str(ckpt_path), "--data", str(short)]
+    else:
+        argv = [command, "--data", str(data_csv), *TINY_MODEL, *TINY_TRAIN, "--set", setting]
+    capsys.readouterr()
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
     assert rc == 1
-    assert "m + j" in capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: {message}" in err
+
+
+@pytest.mark.parametrize("setting, field", [
+    ("train.patience=0", "patience"), ("train.patience=-3", "patience"),
+    ("train.lr=-0.01", "learning_rate"), ("train.lr=nan", "learning_rate"),
+    ("train.grad_clip=inf", "grad_clip"),
+])
+def test_bad_train_setting_exits_1(tmp_path, data_csv, capsys, setting, field):
+    rc = main(["train", "--data", str(data_csv), "--out", str(tmp_path / "run"),
+               *TINY_MODEL, *TINY_TRAIN, "--set", setting])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and field in err
+    assert not (tmp_path / "run").exists()
 
 
 # --- predict ----------------------------------------------------------------------
@@ -360,6 +393,45 @@ def test_unknown_config_key_exits_1(tmp_path, data_csv, capsys):
                "--set", "model.width=3"])
     assert rc == 1
     assert "model.width" in capsys.readouterr().err
+
+
+def _surface(parser):
+    """Each subcommand's options as {option string: (dest, default, required,
+    choices, type, nargs)}, and whether its help lists the config keys."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: ({opt: (a.dest, a.default, a.required, a.choices, a.type, a.nargs)
+                    for a in p._actions for opt in a.option_strings if a.dest != "help"},
+                   p.epilog == key_help())
+            for name, p in sub.choices.items()}
+
+
+def test_cli_surface_is_pinned():
+    data = {"--data": ("data", None, True, None, None, None),
+            "--out": ("out", None, True, None, None, None),
+            "--config": ("config", None, False, None, None, None),
+            "--set": ("overrides", [], False, None, None, None)}
+    served = {"--checkpoint": ("checkpoint", None, True, None, None, None),
+              "--split": ("split", "test", False, ["train", "val", "test", "all"], None, None)}
+    flag = (False, False, None, None, 0)
+    assert _surface(build_parser()) == {
+        "generate": ({
+            "--out": ("out", None, True, None, None, None),
+            "--machines": ("machines", 6, False, None, int, None),
+            "--length": ("length", 480, False, None, int, None),
+            "--period": ("period", 24, False, None, int, None),
+            "--amplitude": ("amplitude", 0.3, False, None, float, None),
+            "--noise-std": ("noise_std", 0.05, False, None, float, None),
+            "--burst-rate": ("burst_rate", 0.0, False, None, float, None),
+            "--burst-height": ("burst_height", 0.0, False, None, float, None),
+            "--trend-slope": ("trend_slope", 0.0, False, None, float, None),
+            "--seed": ("seed", 7, False, None, int, None),
+        }, False),
+        "detect-period": (data | {"--auto-threshold": ("auto_threshold", *flag)}, True),
+        "train": (data, True),
+        "predict": (data | served | {"--explain": ("explain", *flag)}, True),
+        "evaluate": (data | served, True),
+        "ablate": (data | {"--seeds": ("seeds", None, False, None, None, None)}, True),
+    }
 
 
 def test_usage_error_exits_1(capsys):

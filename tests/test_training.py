@@ -42,12 +42,15 @@ def _dataset(seed=0, length=60, periodic=False, split=(0.7, 0.1, 0.2)):
 # --- config -----------------------------------------------------------------------
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="lbfgs")
-    with pytest.raises(ValueError):
-        TrainConfig(grad_clip=-1.0)
+    bad = [dict(epochs=0), dict(optimizer="lbfgs"), dict(grad_clip=-1.0),
+           dict(grad_clip=math.inf), dict(grad_clip=math.nan),
+           dict(patience=0), dict(patience=-3),
+           dict(learning_rate=-0.01), dict(learning_rate=math.inf), dict(learning_rate=math.nan)]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
+    # A zero learning rate is legal: it freezes the parameters.
+    assert TrainConfig(learning_rate=0.0, patience=1).learning_rate == 0.0
 
 
 def test_effective_loss_forced_to_mse_by_ablation():
