@@ -10,6 +10,7 @@ its outputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -41,6 +42,13 @@ def _float(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     return float(value)
+
+
+def _positive_float(value) -> float:
+    value = _float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"must be a finite number > 0, got {value}")
+    return value
 
 
 def _positive_int(value) -> int:
@@ -96,7 +104,7 @@ _MODEL, _PERIOD, _TRAIN = WindowConfig(), PeriodicityConfig(), TrainConfig()
 # WindowConfig or PeriodicityConfig; defaults are read from the dataclasses.
 KEYS: dict[str, tuple] = {
     "io.schema": (_schema_name, "generic", "CSV column preset (generic/alibaba2018/dinda/smd)"),
-    "io.tick": (_opt(_float), None, "sampling interval seconds; default from the schema preset"),
+    "io.tick": (_opt(_positive_float), None, "sampling interval seconds; default from the schema preset"),
     "io.allow_gaps": (_bool, False, "forward-fill timestamp gaps instead of rejecting them"),
     "period.threshold": (_float, _PERIOD.threshold, "ACF peak threshold for the periodic verdict"),
     "period.k_min": (_int, _PERIOD.k_min, "smallest candidate period"),

@@ -240,8 +240,8 @@ class PeriodMatch:
     distance: float | np.ndarray
 
 
-# window x offset lanes per block: MSE keeps one (block, p) sum, DTW several
-# (I + 1, lanes) arrays
+# MSE: values per temporary of a block, (block, p) scores and (I, block)
+# windows; DTW: window x offset lanes per block, several (I + 1, lanes) arrays
 _MSE_LANES = 16384
 _DTW_LANES = 4096
 
@@ -264,29 +264,76 @@ def match(knowledge: PeriodKnowledge | None, x_short: np.ndarray, j: int,
         xp = knowledge.x_period
         p = len(xp)
         segments = xp[(np.arange(p)[:, None] + np.arange(width)) % p]  # row a starts at offset a
-        dists = np.zeros((n, p))
         if cfg.distance == "mse":
-            ticks = np.ascontiguousarray(segments.T)  # row i: the template at tick i of each offset
-            block = max(1, _MSE_LANES // p)
-            scratch = np.empty((min(block, n), p))
-            for lo in range(0, n, block):
-                windows, acc = stack[lo: lo + block], dists[lo: lo + block]
-                sq = scratch[: len(acc)]
-                for i in range(width):
-                    np.subtract(ticks[i], windows[:, i, None], out=sq)
-                    np.square(sq, out=sq)
-                    acc += sq
-            dists /= width
+            t_a, best = _mse_match(segments, stack)
         else:
+            dists = np.empty((n, p))
             block = max(1, _DTW_LANES // p)
             for lo in range(0, n, block):
                 dists[lo: lo + block] = dtw_distance(segments, stack[lo: lo + block, None, :], cfg.dtw_band)
-        t_a = np.argmin(dists, axis=1)
-        best = dists[np.arange(n), t_a]
+            t_a = np.argmin(dists, axis=1)
+            best = dists[np.arange(n), t_a]
         y = xp[(t_a[:, None] + width + np.arange(j)) % p]
     if xs.ndim == 1:
         return PeriodMatch(int(t_a[0]), y[0], float(best[0]))
     return PeriodMatch(t_a, y, best)
+
+
+_FLOAT = np.finfo(np.float64)
+
+
+def _mse_match(segments: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best offset of each window and its mean squared difference.
+
+    A screen scores every offset a of window x as v = |s_a|² − 2·s_a·x, which
+    is I·distance − |x|², from one gemm per block of windows.  An offset
+    whose v exceeds the window's smallest by more than the slack cannot be
+    its minimum: the slack, 8·(I + 2)·eps·(I·max|x|² + max_a |s_a|²), is
+    twice the rounding bound of the screen (dot products of I terms) plus
+    that of the exact sum.  Each window's best screened offset gets the exact
+    distance.  A window with another offset inside the slack gets it for
+    every offset, so ties still go to the smallest.  A NaN in the screen ties
+    all offsets of its window, and a NaN or an overflow in the slack those of
+    every window.
+    """
+    p, width = segments.shape
+    ticks = np.ascontiguousarray(segments.T)  # row i: the template at tick i of each offset
+    screen = -2.0 * ticks
+    norms = np.einsum("ai,ai->a", segments, segments)
+    with np.errstate(over="ignore", invalid="ignore"):  # the exact sum reports these
+        big = 2.0 * (width * np.max(np.abs(stack), initial=0.0) ** 2 + norms.max())  # >= |v|
+        slack = 4.0 * (width + 2) * (big * _FLOAT.eps + _FLOAT.tiny)
+    t_a, best = np.empty(len(stack), dtype=np.intp), np.empty(len(stack))
+    block = max(1, _MSE_LANES // max(p, width))
+    for lo in range(0, len(stack), block):
+        x = np.ascontiguousarray(stack[lo: lo + block].T)  # row i: tick i of each window
+        cols = np.arange(x.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = x.T @ screen  # (block, p)
+            v += norms
+            t = v.argmin(axis=1)
+            far = v > (v[cols, t] + slack)[:, None]
+        d = _tick_sums(ticks[:, t], x)
+        if np.count_nonzero(far) < far.size - len(cols):  # some window keeps more than one offset
+            tied = np.flatnonzero(np.count_nonzero(~far, axis=1) > 1)
+            dists = _tick_sums(ticks[:, None, :], x[:, tied, None])  # (tied, p)
+            t[tied] = dists.argmin(axis=1)
+            d[tied] = dists[np.arange(len(tied)), t[tied]]
+        t_a[lo: lo + block], best[lo: lo + block] = t, d
+    return t_a, best
+
+
+def _tick_sums(ticks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(s_0 − x_0)² + … + (s_{I−1} − x_{I−1})², divided by I, in each lane of
+    ticks[i] − x[i]; np.add.reduce would sum a lone column pairwise."""
+    acc = ticks[0] - x[0]
+    np.square(acc, out=acc)
+    for s, xi in zip(ticks[1:], x[1:]):
+        sq = s - xi
+        np.square(sq, out=sq)
+        acc += sq
+    acc /= len(ticks)
+    return acc
 
 
 def dtw_distance(a, b, band: int | None = None):

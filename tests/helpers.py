@@ -100,6 +100,26 @@ def dtw_reference(a, b, band: int | None = None) -> float:
     return float(prev[m])
 
 
+def match_mse_lanes(template, x_short, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MSE template matching over every window x offset lane (the library's
+    former `match` MSE pass): each offset's squared differences added into
+    one (n, p) table tick by tick, divided by I, ties to the smallest offset.
+    Takes a stack (n, I) and returns t_a (n,), y_period (n, j) and distance
+    (n,): the reference for the screened `match`."""
+    xp = np.asarray(template, dtype=np.float64)
+    stack = np.asarray(x_short, dtype=np.float64)
+    n, width = stack.shape
+    p = len(xp)
+    ticks = xp[(np.arange(width)[:, None] + np.arange(p)) % p]  # row i: tick i of each offset
+    dists = np.zeros((n, p))
+    for i in range(width):
+        sq = ticks[i] - stack[:, i, None]
+        dists += sq * sq
+    dists /= width
+    t_a = np.argmin(dists, axis=1)
+    return t_a, xp[(t_a[:, None] + width + np.arange(j)) % p], dists[np.arange(n), t_a]
+
+
 def logistic(x) -> np.ndarray:
     """sigmoid(x) by the exp/where formula (the library's former gate
     activation).  exp(-|x|) never overflows; where it underflows the gate is

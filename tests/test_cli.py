@@ -223,6 +223,7 @@ def test_train_too_short_data_is_config_error(tmp_path, data_csv, capsys, comman
     ("train.patience=0", "patience"), ("train.patience=-3", "patience"),
     ("train.lr=-0.01", "learning_rate"), ("train.lr=nan", "learning_rate"),
     ("train.grad_clip=inf", "grad_clip"),
+    ("io.tick=nan", "io.tick"), ("io.tick=inf", "io.tick"), ("io.tick=0", "io.tick"), ("io.tick=-1", "io.tick"),
 ])
 def test_bad_train_setting_exits_1(tmp_path, data_csv, capsys, setting, field):
     rc = main(["train", "--data", str(data_csv), "--out", str(tmp_path / "run"),
@@ -230,6 +231,14 @@ def test_bad_train_setting_exits_1(tmp_path, data_csv, capsys, setting, field):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("error:") == 1 and field in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_detect_period_bad_tick_exits_1(tmp_path, data_csv, capsys):
+    rc = main(["detect-period", "--data", str(data_csv), "--out", str(tmp_path / "run"), "--set", "io.tick=nan"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "io.tick" in err
     assert not (tmp_path / "run").exists()
 
 

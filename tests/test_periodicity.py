@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from helpers import dtw_exhaustive, dtw_reference, verify_bound
+from helpers import dtw_exhaustive, dtw_reference, match_mse_lanes, verify_bound
 from periocast import periodicity
 from periocast.errors import BandTooNarrow, DegenerateComponent, SeriesTooShort
 from periocast.periodicity import (
@@ -254,7 +255,7 @@ def test_stacked_match_across_blocks(distance, lanes):
     # three full blocks and a short fourth: every row matches exactly as it
     # does alone
     p, width = 7, 10
-    block = lanes // p
+    block = lanes // (width if distance == "mse" else p)  # MSE blocks hold lanes // max(p, I) windows
     n = 3 * block + block // 3
     rng = np.random.default_rng([n, width])
     template = rng.uniform(size=p)
@@ -278,6 +279,95 @@ def test_stacked_match_across_blocks(distance, lanes):
             ref = [dtw_reference(seg, stack[r], 2) for seg in segments]
             assert one.t_a == int(np.argmin(ref))
             assert one.distance == pytest.approx(min(ref), rel=1e-12, abs=1e-15)
+
+
+def _lane_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A template and a stack of windows of one kind."""
+    if kind == "random":
+        return rng.uniform(size=17), rng.uniform(size=(300, 24))
+    if kind == "quantised":  # values on a quarter grid: exact ties between offsets
+        return rng.integers(0, 4, 12) / 4, rng.integers(0, 4, (400, 6)) / 4
+    if kind == "near-ties-far-from-0":  # gaps the screen's ~1e-10 rounding can invert
+        stack = 1000 + rng.integers(0, 3, (1000, 6)) / 3 + rng.normal(0.0, 3e-10, (1000, 6))
+        return 1000 + rng.integers(0, 3, 12) / 3, stack
+    if kind == "constant":  # every offset ties
+        return np.full(9, 0.3), rng.uniform(size=(50, 5))
+    if kind == "sub-cycle":  # a 3-tick cycle four times: offsets 3 apart tie
+        cycle = rng.uniform(size=3)
+        stack = np.resize(cycle, (200, 8)) + rng.normal(0.0, 1e-3, (200, 8)) * (np.arange(200) % 2)[:, None]
+        return np.resize(cycle, 12), stack
+    if kind == "cut-from-template":  # exact zero distances, at times at two offsets
+        template = rng.integers(0, 3, 10) / 2
+        starts = rng.integers(0, 10, 300)
+        return template, template[(starts[:, None] + np.arange(7)) % 10]
+    if kind == "width-1":
+        return rng.uniform(size=5), rng.uniform(size=(100, 1))
+    if kind == "wider-than-p":
+        return rng.uniform(size=4), rng.uniform(size=(100, 11))
+    if kind == "p-2":
+        return rng.uniform(size=2), rng.uniform(size=(100, 7))
+    if kind == "binary":  # 0/1 ticks: many windows keep tied offsets
+        return rng.integers(0, 2, 13).astype(float), rng.integers(0, 2, (3000, 20)).astype(float)
+    assert kind == "across-blocks"  # two full blocks of _MSE_LANES // max(p, I) windows, then one window
+    return rng.uniform(size=7), rng.uniform(size=(2 * (periodicity._MSE_LANES // 10) + 1, 10))
+
+
+@pytest.mark.parametrize("kind", ["random", "quantised", "near-ties-far-from-0", "constant", "sub-cycle",
+                                  "cut-from-template", "width-1", "wider-than-p", "p-2", "binary",
+                                  "across-blocks"])
+def test_mse_match_equals_lane_oracle(kind):
+    template, stack = _lane_case(kind, np.random.default_rng(list(kind.encode())))
+    got = match(PeriodKnowledge("m", template), stack, 3, PeriodicityConfig())
+    t_a, y_period, distance = match_mse_lanes(template, stack, 3)
+    assert np.array_equal(got.t_a, t_a)
+    assert got.distance.tobytes() == distance.tobytes()
+    assert got.y_period.tobytes() == y_period.tobytes()
+
+
+def test_mse_match_splits_a_one_ulp_gap():
+    # Window (x0, x1) against offsets 0 and 1 of the template (s0, s1): the
+    # two distances are equal in exact arithmetic when x1 == x0.  Stepping x1
+    # by ulps gives pairs whose summed distances differ by exactly one ulp.
+    # Near 1000 the screen's scores are about 1e6 and resolve only ~1e-10,
+    # so it cannot order them; the smaller must win even at the larger offset.
+    s0, s1, x0 = 1000.3, 1000.30001, 1000.55
+    stack, want = [], []
+    for k in range(-300, 301):
+        x1 = x0 + k * math.ulp(x0)
+        d = [((s0 - x0) * (s0 - x0) + (s1 - x1) * (s1 - x1)) / 2,
+             ((s1 - x0) * (s1 - x0) + (s0 - x1) * (s0 - x1)) / 2]
+        if abs(d[0] - d[1]) == math.ulp(min(d)):
+            stack.append([x0, x1])
+            want.append(int(d[1] < d[0]))
+    assert 0 in want and 1 in want
+    got = match(PeriodKnowledge("m", np.array([s0, s1])), np.array(stack), 1, PeriodicityConfig())
+    assert got.t_a.tolist() == want
+    _, y_period, distance = match_mse_lanes([s0, s1], np.array(stack), 1)
+    assert got.distance.tobytes() == distance.tobytes()
+    assert got.y_period.tobytes() == y_period.tobytes()
+
+
+def test_match_digest_is_pinned():
+    # seeded periodic, lax and spiky machines, each matched against its first
+    # cycle as make_windows does (I = 24, j = 2); a change of arithmetic, of
+    # the tie rule or of any offset changes the digest
+    rng = np.random.default_rng(20231017)
+    digest = hashlib.sha256()
+    for kind in ("periodic", "lax", "spiky") * 2:
+        period = int(rng.integers(12, 40))
+        if kind == "lax":
+            lengths = rng.integers(period - 3, period + 4, 1200 // (period - 3) + 1)
+            wave = np.concatenate([np.sin(2 * np.pi * np.arange(n) / n) for n in lengths])[:1200]
+        else:
+            wave = np.sin(2 * np.pi * np.arange(1200) / period)
+        values = 0.5 + 0.25 * wave + rng.normal(0.0, 0.04, 1200)
+        if kind == "spiky":
+            values += 0.45 * (rng.uniform(size=1200) < 0.02)
+        got = match(PeriodKnowledge(kind, values[:period]),
+                    np.lib.stride_tricks.sliding_window_view(values, 24), 2, PeriodicityConfig())
+        for array, dtype in ((got.t_a, "<i8"), (got.distance, "<f8"), (got.y_period, "<f8")):
+            digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    assert digest.hexdigest() == "e9afbb885c90378d8c5f37d9c1d3ed0a8e023dd8132a79d2ba42deb2dfa01115"
 
 
 def test_match_dtw_agrees_on_exact_alignment():
