@@ -213,6 +213,8 @@ class PeriodKnowledge:
         x = np.asarray(self.x_period, dtype=np.float64)
         if x.ndim != 1 or len(x) < 2:
             raise ValueError("x_period must be 1-D with length >= 2")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x_period must be finite")
         x.flags.writeable = False
         object.__setattr__(self, "x_period", x)
 

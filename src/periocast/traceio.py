@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,11 @@ from .errors import EmptyFile, MalformedRow, NonMonotonicTimestamps
 from .rng import Prng
 
 _INT64 = np.iinfo(np.int64)
-_CHUNK_ROWS = 1024  # rows held as Python lists at once: bounds the memory a read takes
+_CHUNK_ROWS = 1024  # rows (or lines) parsed at once: bounds the memory a read takes
+# Only csv.reader reads a quote.  numpy's number parsing strips \x1c-\x1f as
+# spaces, which Python's int and float refuse, and takes some non-ASCII
+# letters as digits, so files with any of these go to csv.reader too.
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 
 
 @dataclass(frozen=True)
@@ -132,18 +137,76 @@ def _bad_row(path: Path, text: str, schema: CsvSchema, at: dict[str, int]) -> Ma
     raise AssertionError(f"{path}: no bad row found")
 
 
+def _plain_blocks(text: str, schema: CsvSchema, at: dict[str, int]):
+    """The data rows of a plain file, as (ids, timestamps, values)
+    per block of `_CHUNK_ROWS` lines, parsed by numpy's C tokenizer.  It
+    raises on any row it cannot take, including cells that Python's `int`
+    or `float` accept but it does not (`1_000`), and on a line longer than
+    `csv.reader`'s field limit."""
+    fields = [("ts", np.int64, schema.time_col), ("val", np.float64, schema.value_col)]
+    if schema.machine_col:
+        fields.insert(0, ("id", object, schema.machine_col))
+    dtype = np.dtype([(name, kind) for name, kind, _ in fields])
+    usecols = [at[col] for _, _, col in fields]
+    limit = csv.field_size_limit()
+    lines = io.StringIO(text, newline=None)  # ends lines at \n, \r\n and \r, as csv.reader does
+    next(lines)  # the header
+    while block := list(itertools.islice(lines, _CHUNK_ROWS)):
+        if max(map(len, block)) > limit:
+            raise ValueError("a line longer than the csv field limit")
+        if block.count("\n") == len(block):
+            continue  # only blank lines, which loadtxt would warn about
+        rows = np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+        yield (rows["id"] if schema.machine_col else None), rows["ts"], rows["val"]
+
+
+def _csv_blocks(path: Path, text: str, reader, schema: CsvSchema, at: dict[str, int]):
+    """The data rows after the header that `reader` has read, as (ids,
+    timestamps, values) per block of `_CHUNK_ROWS` non-blank rows.  Each
+    block is transposed into columns and converted whole by Python's `int`
+    and `float`."""
+    rows = filter(None, reader)  # csv.reader gives [] for a blank line
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        columns = list(zip(*chunk))  # as many columns as the shortest row has
+        n = len(chunk)
+        del chunk
+        if len(columns) <= max(at.values()):
+            raise _bad_row(path, text, schema, at)
+        ids = columns[at[schema.machine_col]] if schema.machine_col else None
+        yield (ids, np.fromiter(map(int, columns[at[schema.time_col]]), np.int64, n),
+               np.fromiter(map(float, columns[at[schema.value_col]]), np.float64, n))
+
+
+def _gather(blocks) -> tuple[dict[str, int], list, list, list]:
+    """Each machine id's code in first-seen order, and the timestamp, value
+    and code parts of every block."""
+    code_of: dict[str, int] = {}
+    ts_parts, val_parts, code_parts = [], [], []
+    for ids, ts, vals in blocks:
+        ts_parts.append(ts)
+        val_parts.append(vals)
+        if ids is not None:
+            for machine in dict.fromkeys(ids):
+                code_of.setdefault(machine, len(code_of))
+            code_parts.append(np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ts)))
+    return code_of, ts_parts, val_parts, code_parts
+
+
 def load_csv(path: str | Path, schema: CsvSchema, allow_gaps: bool = False) -> list[RawTrace]:
     """Read a trace CSV into one RawTrace per machine, in first-seen order.
 
-    The file is parsed in one `csv.reader` pass that skips blank rows, and
-    each block of `_CHUNK_ROWS` rows is transposed into columns that are
-    converted whole.  Timestamps within a machine must form a uniform grid:
-    after sorting, every step must equal the smallest step.  A larger gap
-    raises NonMonotonicTimestamps unless `allow_gaps` is set, in which case
-    missing ticks are forward-filled with the previous value.  Duplicate
-    (machine, timestamp) rows are always rejected.  A row without the
-    schema's columns, a value that is not a finite, non-negative number, or
-    a byte that is not UTF-8 raises MalformedRow naming the file and the
+    A plain file, ASCII with no `"` and no \\x1c-\\x1f, is read by numpy's
+    `loadtxt` in blocks of `_CHUNK_ROWS` lines.  Any other file, and any
+    file that reader refuses, is read from its first row in one
+    `csv.reader` pass that skips blank rows and converts each block's
+    columns with Python's `int` and `float`; both give the same arrays for
+    every file the first one takes.  Timestamps within a machine must form
+    a uniform grid: after sorting, every step must equal the smallest step.
+    A larger gap raises NonMonotonicTimestamps unless `allow_gaps` is set,
+    in which case missing ticks are forward-filled with the previous value.
+    Duplicate (machine, timestamp) rows are always rejected.  A row without
+    the schema's columns, a value that is not a finite, non-negative number,
+    or a byte that is not UTF-8 raises MalformedRow naming the file and the
     line the first such row starts on.
     """
     path = Path(path)
@@ -156,8 +219,6 @@ def load_csv(path: str | Path, schema: CsvSchema, allow_gaps: bool = False) -> l
         raise MalformedRow(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
     del data
     reader = csv.reader(io.StringIO(text, newline=""))
-    code_of: dict[str, int] = {}  # machine id -> code, in first-seen order
-    ts_parts, val_parts, code_parts = [], [], []
     try:
         header = next(reader, None)
         if header is None:
@@ -168,24 +229,21 @@ def load_csv(path: str | Path, schema: CsvSchema, allow_gaps: bool = False) -> l
             raise MalformedRow(f"{path}: missing column(s) {missing}")
         # a repeated column name reads its last occurrence, as csv.DictReader does
         at = {c: len(header) - 1 - header[::-1].index(c) for c in names}
-        rows = filter(None, reader)  # csv.reader gives [] for a blank line
-        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-            columns = list(zip(*chunk))  # as many columns as the shortest row has
-            n = len(chunk)
-            del chunk
-            if len(columns) <= max(at.values()):
-                raise _bad_row(path, text, schema, at)
-            ts_parts.append(np.fromiter(map(int, columns[at[schema.time_col]]), np.int64, n))
-            val_parts.append(np.fromiter(map(float, columns[at[schema.value_col]]), np.float64, n))
-            if schema.machine_col:
-                ids = columns[at[schema.machine_col]]
-                for machine in dict.fromkeys(ids):
-                    code_of.setdefault(machine, len(code_of))
-                code_parts.append(np.fromiter(map(code_of.__getitem__, ids), np.intp, n))
+        parts = None
+        if text.isascii() and not any(ch in text for ch in _NOT_PLAIN):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # a warning is a row loadtxt reads differently
+                    parts = _gather(_plain_blocks(text, schema, at))
+            except Exception:  # csv.reader below decides every file this reader refuses
+                pass
+        if parts is None:
+            parts = _gather(_csv_blocks(path, text, reader, schema, at))
     except csv.Error as exc:
         raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from exc
     except (ValueError, OverflowError):
         raise _bad_row(path, text, schema, at) from None
+    code_of, ts_parts, val_parts, code_parts = parts
     if not ts_parts:
         raise EmptyFile(f"{path}: no data rows")
     ts, vals = np.concatenate(ts_parts), np.concatenate(val_parts)

@@ -398,6 +398,12 @@ def test_build_knowledge_takes_first_cycle():
     assert np.array_equal(know.x_period, s.values[: report.period])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_knowledge_rejects_non_finite_template(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PeriodKnowledge("m", [0.2, bad, 0.5])
+
+
 def test_build_knowledge_aperiodic_none():
     s = generate(SyntheticSpec(length=480, noise_std=0.15, seed=6))
     report = detect_period(s, PeriodicityConfig())

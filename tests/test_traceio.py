@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,7 @@ def test_load_csv_csv_error_is_malformed_row(tmp_path):
 # --- the columnar reader against the former DictReader one --------------------
 
 _IDS = ["m0", "host,7", 'q"x', "αβ", "m 3", "m5"]
+_PLAIN_IDS = [i for i in _IDS if i.isascii() and not set(i) & set(',"')] + ["h\t7", "nul\x00id"]
 
 
 def _cell(rng, text: str) -> str:
@@ -292,13 +294,15 @@ def _number(rng, v) -> str:
     return styles[rng.integers(len(styles))]
 
 
-def _random_trace_csv(rng, schema, allow_gaps: bool, plain: bool) -> str:
+def _random_trace_csv(rng, schema, allow_gaps: bool, plain: bool, quotes: bool = True) -> str:
     """Interleaved machines on their own grids, rows shuffled, in `schema`,
-    with extra columns, quoted cells and (unless `plain`) blank lines and
-    quoted fields spanning lines."""
+    with extra columns and (unless `plain`) blank lines.  With `quotes`,
+    some cells are quoted and (unless `plain`) quoted fields span lines;
+    without, the file has no `"`, ASCII ids, rows with an extra cell and
+    LF, CRLF and lone-CR line ends mixed."""
     n_machines = 1 if schema.machine_col is None else int(rng.integers(1, 5))
     rows = []
-    for machine in rng.choice(_IDS, size=n_machines, replace=False):
+    for machine in rng.choice(_IDS if quotes else _PLAIN_IDS, size=n_machines, replace=False):
         step, start = int(rng.choice([1, 5, 60])), int(rng.integers(-50, 1000))
         ticks = np.arange(int(rng.integers(2, 26)))
         if allow_gaps and len(ticks) > 3:
@@ -313,22 +317,31 @@ def _random_trace_csv(rng, schema, allow_gaps: bool, plain: bool) -> str:
     header = [c for c in (schema.machine_col, schema.time_col, schema.value_col) if c]
     for extra in rng.choice(["note", "cpu", "x y"], size=int(rng.integers(0, 3)), replace=False):
         header.insert(int(rng.integers(len(header) + 1)), str(extra))
-    notes = ["", "ok", "a,b", 'say "hi"'] + ([] if plain else ["two\nlines", "cr\r\nlf"])
+    if quotes:
+        cell = _cell
+        notes = ["", "ok", "a,b", 'say "hi"'] + ([] if plain else ["two\nlines", "cr\r\nlf"])
+    else:
+        cell = lambda rng, text: text  # noqa: E731
+        notes = ["", "ok", "a b", "x\ty"]
     newline = "\r\n" if rng.uniform() < 0.5 else "\n"
-    lines = [",".join(_cell(rng, c) for c in header)]
+    lines = [",".join(cell(rng, c) for c in header)]
     for row in rows:
         cells = []
         for c in header:
             if c == schema.time_col or c == schema.value_col:
-                cells.append(_cell(rng, _number(rng, row[c])))
+                cells.append(cell(rng, _number(rng, row[c])))
             elif c == schema.machine_col:
-                cells.append(_cell(rng, row[c]))
+                cells.append(cell(rng, row[c]))
             else:
-                cells.append(_cell(rng, str(rng.choice(notes))))
+                cells.append(cell(rng, str(rng.choice(notes))))
+        if not quotes and rng.uniform() < 0.1:
+            cells.append("more")
         lines.append(",".join(cells))
         while not plain and rng.uniform() < 0.15:
             lines.append("")
-    return newline.join(lines) + newline
+    if quotes:
+        return newline.join(lines) + newline
+    return "".join(line + end for line, end in zip(lines, rng.choice(["\n", "\r\n", "\r"], size=len(lines))))
 
 
 def _traces_by_dictreader(path, schema, allow_gaps: bool):
@@ -358,37 +371,41 @@ def test_load_csv_repeated_column_reads_the_last(tmp_path):
     _assert_same_traces([trace], _traces_by_dictreader(p, SCHEMAS["generic"], False))
 
 
-@pytest.mark.parametrize("seed", range(48))
+@pytest.mark.parametrize("seed", range(96))
 def test_load_csv_matches_dictreader(tmp_path, monkeypatch, seed):
+    # seeds from 48 on write quote-free files, which numpy's reader takes
     rng = np.random.default_rng([seed, 12])
     if seed % 2:  # machines and blank rows across blocks of a few rows
         monkeypatch.setattr(traceio, "_CHUNK_ROWS", int(rng.integers(1, 8)))
     schema = SCHEMAS[sorted(SCHEMAS)[seed % 4]]
     allow_gaps = bool(seed // 4 % 2)
     p = tmp_path / "trace.csv"
-    p.write_bytes(_random_trace_csv(rng, schema, allow_gaps, plain=False).encode("utf-8"))
+    p.write_bytes(_random_trace_csv(rng, schema, allow_gaps, plain=False, quotes=seed < 48).encode("utf-8"))
     _assert_same_traces(load_csv(p, schema, allow_gaps=allow_gaps),
                         _traces_by_dictreader(p, schema, allow_gaps))
 
 
-@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("seed", range(48))
 def test_load_csv_errors_match_dictreader(tmp_path, monkeypatch, seed):
     # one or two bad cells in a file with no blank or multi-line rows, where
-    # the former reader's row count is the file line
+    # the former reader's row count is the file line; seeds from 24 on write
+    # quote-free files
     rng = np.random.default_rng([seed, 13])
     if seed % 2:
         monkeypatch.setattr(traceio, "_CHUNK_ROWS", int(rng.integers(1, 8)))
     schema = SCHEMAS[sorted(SCHEMAS)[seed % 4]]
-    lines = _random_trace_csv(rng, schema, False, plain=True).split("\n")
+    quotes = seed < 24
+    lines = _random_trace_csv(rng, schema, False, plain=True, quotes=quotes).splitlines(keepends=True)
     header = next(csv.reader([lines[0]]))
     for _ in range(int(rng.integers(1, 3))):
-        k = int(rng.integers(1, len(lines) - 1))
+        k = int(rng.integers(1, len(lines)))
         row = next(csv.reader([lines[k]]))
         col = schema.time_col if rng.uniform() < 0.3 else schema.value_col
         row[len(header) - 1 - header[::-1].index(col)] = str(rng.choice(["oops", "-2.5", "nan", "inf", "1.5.2"]))
-        lines[k] = ",".join(_cell(rng, c) for c in row)
+        end = lines[k][len(lines[k].rstrip("\r\n")):]
+        lines[k] = ",".join(_cell(rng, c) if quotes else c for c in row) + end
     p = tmp_path / "trace.csv"
-    p.write_bytes("\n".join(lines).encode("utf-8"))
+    p.write_bytes("".join(lines).encode("utf-8"))
     with pytest.raises(MalformedRow) as want:
         read_rows_dictreader(p, schema)
     with pytest.raises(MalformedRow) as got:
@@ -404,6 +421,131 @@ def test_load_csv_matches_dictreader_on_the_benchmark_fleet(tmp_path):
         wl.write_csv(machine, p)
         _assert_same_traces(load_csv(p, SCHEMAS["generic"]),
                             _traces_by_dictreader(p, SCHEMAS["generic"], False))
+
+
+# --- numpy's reader for plain files against csv.reader ------------------------
+
+def _outcome(path, schema, allow_gaps: bool):
+    """What `load_csv` gives: each trace's id and bytes, or the error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may escape load_csv
+        try:
+            traces = load_csv(path, schema, allow_gaps=allow_gaps)
+        except (EmptyFile, MalformedRow, NonMonotonicTimestamps) as exc:
+            return type(exc).__name__, str(exc)
+    return [(t.machine_id, t.timestamps.tobytes(), t.values.tobytes()) for t in traces]
+
+
+def _refuse(*args):
+    raise ValueError("refused")
+
+
+def _respelled(rng, cell: str) -> str:
+    """`cell` written as Python's `int` or `float` may still read it but
+    numpy's reader does not, or as neither reads it."""
+    s = cell.strip()
+    sign = s[:1] if s[:1] in "+-" else ""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return f"{sign}0_{s[len(sign):]}"  # underscore: Python only
+    if kind == 1:
+        return s.translate({ord(d): 0xFF10 + int(d) for d in "0123456789"})  # full width: Python only
+    if kind == 2:
+        return f"{sign}{10 ** 19}"  # beyond int64 as a timestamp
+    if kind == 3:
+        return "\x1c" + s  # a separator numpy strips as a space: neither
+    return "\u01fe"  # a letter numpy's int parser reads as digits: neither
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_plain_reader_matches_csv_reader(tmp_path, monkeypatch, seed):
+    # quote-free files, some with whitespace-only lines, short rows and cells
+    # that only one reader or neither takes, read as they are and with
+    # numpy's reader refusing every file: traces and errors are the same
+    rng = np.random.default_rng([seed, 14])
+    if seed % 2:
+        monkeypatch.setattr(traceio, "_CHUNK_ROWS", int(rng.integers(1, 8)))
+    schema = SCHEMAS[sorted(SCHEMAS)[seed % 4]]
+    allow_gaps = bool(seed // 4 % 2)
+    lines = _random_trace_csv(rng, schema, allow_gaps, plain=False, quotes=False).splitlines(keepends=True)
+    header = lines[0].rstrip("\r\n").split(",")
+    for _ in range(int(rng.integers(0, 3)) if seed % 3 else 0):
+        k = int(rng.integers(1, len(lines)))
+        body, end = lines[k].rstrip("\r\n"), lines[k][len(lines[k].rstrip("\r\n")):]
+        row, what = body.split(","), rng.uniform()
+        if what < 0.2:
+            body = str(rng.choice([" ", "\t", " \t "]))
+        elif what < 0.4:
+            body = ",".join(row[: int(rng.integers(len(row)))])
+        elif body:
+            col = schema.time_col if rng.uniform() < 0.5 else schema.value_col
+            at = len(header) - 1 - header[::-1].index(col)
+            row[at] = _respelled(rng, row[at])
+            body = ",".join(row)
+        lines[k] = body + end
+    p = tmp_path / "trace.csv"
+    p.write_bytes("".join(lines).encode("utf-8"))
+    got = _outcome(p, schema, allow_gaps)
+    monkeypatch.setattr(traceio, "_plain_blocks", _refuse)
+    assert got == _outcome(p, schema, allow_gaps)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ("a,1_000,5\na,1_001,6\n", [1000, 1001]),
+    ("a,１２,5\na,１３,6\n", [12, 13]),
+    ("a,1,5\na,2,0_6.5\n", [1, 2]),
+    (f"a,0,1\na,{10 ** 19},1\n", f"3: timestamp {10 ** 19} outside the int64 range"),
+    ("a,0,1\na,1\n", "3: no 'value' field"),
+    ("a,0,1\na,1,2\n \n", "4: no 'timestamp' field"),
+    ("a,0,1\na,\x1c1,2\n", "3: invalid literal for int() with base 10: '\\x1c1'"),
+    ("a,0,1\na,\u01fe,2\n", "3: invalid literal for int() with base 10: '\u01fe'"),
+    ("a,0,1\na,1," + "9" * 200_000 + "\n", "3: field larger than field limit"),
+], ids=["underscore", "full-width", "underscore-value", "20-digits", "short-row", "spaces-only",
+        "file-separator", "not-a-digit", "long-field"])
+def test_load_csv_reads_what_numpy_refuses_with_csv_reader(tmp_path, monkeypatch, rows, want):
+    # each file goes to the csv.reader path, which loads it or names its bad line
+    p = _write(tmp_path, "machine_id,timestamp,value\n" + rows)
+    read = []
+    csv_blocks = traceio._csv_blocks
+    monkeypatch.setattr(traceio, "_csv_blocks", lambda *args: read.append(1) or csv_blocks(*args))
+    if isinstance(want, list):
+        (trace,) = load_csv(p, SCHEMAS["generic"])
+        assert trace.timestamps.tolist() == want
+    else:
+        with pytest.raises(MalformedRow) as err:
+            load_csv(p, SCHEMAS["generic"])
+        assert str(err.value).startswith(f"{p}:{want}")
+    assert read
+
+
+@pytest.mark.parametrize("text", ["machine_id,timestamp,value\n", "machine_id,timestamp,value\r\n\n\r\n\r\n"],
+                         ids=["header-only", "blank-lines"])
+def test_load_csv_no_data_rows_is_empty_file_without_a_warning(tmp_path, monkeypatch, text):
+    monkeypatch.setattr(traceio, "_CHUNK_ROWS", 2)  # a block of blank lines only, then one more
+    monkeypatch.setattr(traceio, "_csv_blocks", _refuse)  # numpy's reader takes both files
+    p = tmp_path / "trace.csv"
+    p.write_bytes(text.encode())
+    assert _outcome(p, SCHEMAS["generic"], False) == ("EmptyFile", f"{p}: no data rows")
+
+
+def test_benchmark_fleet_files_never_reach_csv_reader(tmp_path, monkeypatch):
+    # numpy's reader takes every file the benchmark writes; a quoted file
+    # still goes to csv.reader
+    def csv_blocks(*args):
+        raise AssertionError("the csv.reader data path ran")
+
+    monkeypatch.setattr(traceio, "_csv_blocks", csv_blocks)
+    wl = load_bench_module("workloads")
+    for name in ("fleet-serve", "lax-dtw"):
+        spec = wl.WORKLOADS[name]
+        for machine in wl.fleet(spec, spec.kinds, spec.length, seed=2)[:4]:
+            p = tmp_path / f"{machine.machine_id}.csv"
+            wl.write_csv(machine, p)
+            (trace,) = load_csv(p, SCHEMAS["generic"])
+            assert len(trace) == spec.length
+    p = _write(tmp_path, 'machine_id,timestamp,value\n"a",0,1\n')
+    with pytest.raises(AssertionError, match="csv.reader data path"):
+        load_csv(p, SCHEMAS["generic"])
 
 
 def test_load_csv_single_machine_schema(tmp_path):
